@@ -309,10 +309,11 @@ impl<'a> Scheduler<'a> {
     /// multi-process [`WorkerPool`] when one is configured (and can
     /// spawn), else through the two-pass runner protocol fanned out over
     /// the in-process [`run_jobs`] — fresh non-errored results are
-    /// written back to the store, and the outcomes come back in work
-    /// order with the deterministic event stream alongside. Both
-    /// execution routes fill the same item-ordered miss slots, so the
-    /// assembled artifact bytes cannot depend on the route.
+    /// appended to the store and committed with one fsync before this
+    /// returns, and the outcomes come back in work order with the
+    /// deterministic event stream alongside. Both execution routes fill
+    /// the same item-ordered miss slots, so the assembled artifact bytes
+    /// cannot depend on the route.
     pub fn run(&self, work: &[(&ExperimentSpec, Vec<usize>)]) -> SweepOutcome {
         let probes: Vec<Probe> =
             work.iter().map(|(spec, indices)| self.probe(spec, indices.clone())).collect();
@@ -339,6 +340,12 @@ impl<'a> Scheduler<'a> {
             .zip(fresh)
             .map(|(p, fresh)| self.assemble(p, fresh, &typed, &mut events, &mut job))
             .collect();
+        // One fsync makes the whole sweep durable before anyone hears of it.
+        if let Some(store) = self.store {
+            if let Err(e) = store.commit() {
+                store.warn(format_args!("cannot commit this sweep's entries: {e}"));
+            }
+        }
         if let Some(progress) = &self.progress {
             let done = outcomes.iter().flatten().filter(|o| o.state.is_done()).count() as u64;
             let failed = outcomes.iter().flatten().filter(|o| !o.state.is_done()).count() as u64;

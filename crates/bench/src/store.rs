@@ -10,38 +10,35 @@
 //! ```
 //!
 //! so any machine sweeping the same manifest under the same options
-//! computes the same keys — and a warm sweep becomes a directory of cache
+//! computes the same keys — and a warm sweep becomes a run of cache
 //! reads. Sharding does not enter the key: a store warmed by a sharded
 //! sweep serves an unsharded one and vice versa. Neither do the
 //! [`RunOptions`] knobs that cannot change a result — `serial`/`threads`
 //! (CI pins serial == parallel byte identity) and the `bench_date` stamp
 //! — so a dated `bench-summary` run hits a store warmed by `--bin all`.
 //!
-//! Each entry is one file, `<key>.dxr`, holding the point's
-//! [`PointResult`] (`{"error": ..., "stats": ...}`) in the
-//! [`xloops_stats::binary`] wire format. Crash safety is the classic
-//! temp-file-plus-rename argument: an entry is written to a `.tmp-*`
-//! sibling, fsynced, then atomically renamed into place, so a reader can
-//! only ever observe a complete entry or no entry. Defense in depth on
-//! the read side: the binary format's trailing checksum means a torn,
-//! truncated, or bit-rotted file decodes to a typed error, which the
-//! store treats as a miss (warn, re-simulate, rewrite) — corruption can
-//! cost time, never correctness, and never a panic.
+//! Results live in append-only segment files, `<pid>-<n>.seg`, one per
+//! writing handle; each record is a checksummed 24-byte header and the
+//! point's [`PointResult`] in the [`xloops_stats::binary`] format, whose
+//! trailing checksum covers it. [`ResultStore::save`] appends without
+//! syncing and [`ResultStore::commit`] makes a sweep durable with one
+//! fsync. [`ResultStore::open`] indexes the segment headers and keeps the
+//! files open, so a load is one `pread`. A scan stops at the first torn
+//! or corrupt header and never writes: another process may be appending.
+//! Results are deterministic, so any intact record of a key serves it;
+//! damage costs a re-simulation, never a wrong result or a panic.
 //!
-//! Two policy decisions worth their weight:
-//!
-//! - `XLOOPS_STORE` is deliberately *not* part of [`RunOptions`]: the
-//!   options value is serialized into shard documents and into the store
-//!   key itself, and where the cache lives must not change what a result
-//!   *is* (or poison every key with the path that produced it).
-//! - Errored (quarantined) points are never written: a panic diagnosis
-//!   may be transient (cycle budget, fault injection), and a durable
-//!   cache must not make a bad day permanent.
+//! `XLOOPS_STORE` is not a [`RunOptions`] field, so where the cache lives
+//! never enters a key. Errored points are never written: a transient
+//! failure (cycle budget, fault injection) must not become permanent.
 
-use std::collections::HashSet;
-use std::fs;
+use std::collections::{HashMap, HashSet};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufReader, Read};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock, RwLockWriteGuard};
 
 use xloops_sim::RunOptions;
 use xloops_stats::{binary, JsonValue, StatSet};
@@ -50,22 +47,46 @@ use crate::manifest::{PointResult, ShardDoc};
 
 pub use crate::sched::{run_shard_stored, run_specs_stored, StoredSweepResult};
 
-/// Store-entry filename extension (binary-encoded [`PointResult`]).
-const ENTRY_EXT: &str = "dxr";
+const SEGMENT_EXT: &str = ".seg";
+const HEADER_LEN: usize = 24;
 
-/// A directory of durable point results. Cheap to open (one
-/// `create_dir_all`); all traffic counters are monotonic and
-/// thread-safe, mirroring [`crate::runner::Runner::cache_stats`] one
-/// layer down.
+/// A directory of durable point results. Opening scans the segment
+/// headers; all traffic counters are monotonic and thread-safe,
+/// mirroring [`crate::runner::Runner::cache_stats`] one layer down.
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
+    segs: RwLock<Segments>,
     quiet: AtomicBool,
     hits: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
+}
+
+/// Each key's record payloads as (segment, offset, length), the scan
+/// report, and this handle's own segment with its written and synced
+/// lengths once it has saved anything.
+#[derive(Debug, Default)]
+struct Segments {
+    index: HashMap<u64, Vec<(Arc<File>, u64, u32)>>,
+    scans: Vec<SegmentScan>,
+    own: Option<(Arc<File>, u64, u64)>,
+}
+
+/// One segment as [`ResultStore::open`] found it (`xloops store stat`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SegmentScan {
+    /// File name.
+    pub name: String,
+    /// Records with an intact header.
+    pub records: u64,
+    /// File length.
+    pub bytes: u64,
+    /// Where the scan stopped short of `bytes`: a torn tail, a damaged
+    /// header, or a record still being appended.
+    pub stopped_at: Option<u64>,
 }
 
 /// Snapshot of a store's traffic counters.
@@ -107,11 +128,11 @@ impl StoreStats {
 pub(crate) enum Loaded {
     /// A usable entry: the decoded result and its size in bytes.
     Hit(PointResult, u64),
-    /// No entry on disk.
+    /// No record of the key on disk.
     Absent,
-    /// An entry exists but cannot be used (I/O error, failed checksum,
-    /// schema mismatch); the point must re-simulate and the entry will be
-    /// rewritten whole.
+    /// Records exist but none can be used (I/O error, failed checksum,
+    /// schema mismatch); the point must re-simulate and a fresh record
+    /// will be appended.
     Corrupt,
 }
 
@@ -120,19 +141,22 @@ pub(crate) enum Loaded {
 pub struct PruneReport {
     /// Entries whose key is live under some given manifest.
     pub kept: u64,
-    /// Entries (and temp-file stragglers) deleted.
+    /// Records not carried over (dead, superseded or damaged), plus
+    /// legacy `.dxr` and `.tmp-*` files deleted.
     pub pruned: u64,
-    /// Total size of the deleted files.
+    /// How much smaller the store's files got.
     pub bytes_freed: u64,
 }
 
 impl ResultStore {
-    /// Opens (creating if needed) the store rooted at `dir`.
-    pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<ResultStore> {
+    /// Opens (creating if needed) the store rooted at `dir` and indexes
+    /// its segments.
+    pub fn open(dir: impl Into<PathBuf>) -> io::Result<ResultStore> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let quiet = std::env::var("XLOOPS_STORE_QUIET").is_ok_and(|v| v == "1");
         Ok(ResultStore {
+            segs: RwLock::new(scan(&dir)?),
             dir,
             quiet: AtomicBool::new(quiet),
             hits: AtomicU64::new(0),
@@ -179,6 +203,15 @@ impl ResultStore {
         &self.dir
     }
 
+    /// The segments as this handle last scanned them.
+    pub fn segments(&self) -> Vec<SegmentScan> {
+        self.segs.read().unwrap_or_else(PoisonError::into_inner).scans.clone()
+    }
+
+    fn segs_mut(&self) -> RwLockWriteGuard<'_, Segments> {
+        self.segs.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The content-addressed key of one point: FNV-1a-64 (the manifest
     /// fingerprint hash) over `"<fingerprint>/<index>/<options JSON>"`,
     /// formatted as 16 hex digits. The options JSON keeps only the
@@ -202,12 +235,8 @@ impl ResultStore {
         format!("{:016x}", binary::fnv1a64(text.as_bytes()))
     }
 
-    fn entry_path(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{key}.{ENTRY_EXT}"))
-    }
-
     /// Loads the entry under `key`, returning the result and the entry's
-    /// size in bytes. Any failure — absent file, I/O error, failed
+    /// size in bytes. Any failure — absent key, I/O error, failed
     /// checksum, schema mismatch — is a miss; only the non-absent kinds
     /// warn on stderr (through the quiet-respecting path) and count as
     /// corruption.
@@ -220,60 +249,82 @@ impl ResultStore {
 
     /// [`ResultStore::load`] with the miss cause preserved — the
     /// scheduler's probe wants to know a damaged entry from a cold one.
+    /// A key's records are tried newest first.
     pub(crate) fn load_classified(&self, key: &str) -> Loaded {
-        let path = self.entry_path(key);
-        let corrupt = |w: String| {
-            self.warn(format_args!("{}: {w}; treating as a miss", path.display()));
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.corrupt.fetch_add(1, Ordering::Relaxed);
-            Loaded::Corrupt
-        };
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return Loaded::Absent;
+        let segs = self.segs.read().unwrap_or_else(PoisonError::into_inner);
+        let records = key_bits(key).and_then(|k| segs.index.get(&k).cloned()).unwrap_or_default();
+        drop(segs);
+        let mut why = None;
+        for (file, at, len) in records.iter().rev() {
+            match read_record(file, *at, *len) {
+                Ok(result) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    self.bytes_read.fetch_add(u64::from(*len), Ordering::Relaxed);
+                    return Loaded::Hit(result, u64::from(*len));
+                }
+                Err(e) => why = Some(e),
             }
-            Err(e) => return corrupt(e.to_string()),
-        };
-        let value = match binary::decode(&bytes) {
-            Ok(v) => v,
-            Err(e) => return corrupt(e.to_string()),
-        };
-        let result = match PointResult::from_json_value(&value) {
-            Ok(r) => r,
-            Err(e) => return corrupt(e.to_string()),
-        };
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        Loaded::Hit(result, bytes.len() as u64)
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let Some(why) = why else { return Loaded::Absent };
+        self.warn(format_args!("{}: entry {key}: {why}; treating as a miss", self.dir.display()));
+        self.corrupt.fetch_add(1, Ordering::Relaxed);
+        Loaded::Corrupt
     }
 
-    /// Writes `result` under `key` via temp file + fsync + atomic rename,
-    /// returning the entry size. A reader never sees a partial entry: the
-    /// rename is atomic within the store directory, and a crash before it
-    /// leaves only a `.tmp-*` straggler the next write ignores.
-    pub fn save(&self, key: &str, result: &PointResult) -> std::io::Result<u64> {
-        let bytes = binary::encode(&result.to_json_value());
-        let path = self.entry_path(key);
-        let tmp = self.dir.join(format!(".tmp-{key}-{}", std::process::id()));
-        let write = (|| {
-            fs::write(&tmp, &bytes)?;
-            fs::File::open(&tmp)?.sync_all()?;
-            fs::rename(&tmp, &path)
-        })();
-        if write.is_err() {
-            let _ = fs::remove_file(&tmp);
+    /// Appends `result` under `key` to this handle's segment, created on
+    /// first use, and returns the encoded payload size. The record is
+    /// visible to this handle at once but is durable only after
+    /// [`ResultStore::commit`]; a crash before that loses it, and its
+    /// point re-simulates.
+    pub fn save(&self, key: &str, result: &PointResult) -> io::Result<u64> {
+        let bits = key_bits(key).ok_or_else(|| io::Error::other(format!("bad key {key:?}")))?;
+        let payload = binary::encode(&result.to_json_value());
+        let len = u32::try_from(payload.len()).map_err(io::Error::other)?;
+        let mut segs = self.segs_mut();
+        if segs.own.is_none() {
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            let file = loop {
+                let n = NEXT.fetch_add(1, Ordering::Relaxed);
+                let path = self.dir.join(format!("{}-{n}{SEGMENT_EXT}", std::process::id()));
+                match OpenOptions::new().read(true).write(true).create_new(true).open(path) {
+                    Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+                    file => break file?,
+                }
+            };
+            segs.own = Some((Arc::new(file), 0, 0));
         }
-        write?;
-        self.bytes_written.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        Ok(bytes.len() as u64)
+        let Some((file, end, _)) = segs.own.as_mut() else { unreachable!() };
+        let (file, at) = (Arc::clone(file), *end);
+        file.write_all_at(&[&header(bits, len)[..], &payload].concat(), at)?;
+        *end += (HEADER_LEN + payload.len()) as u64;
+        let loc = (file, at + HEADER_LEN as u64, len);
+        segs.index.entry(bits).or_insert_with(|| Vec::with_capacity(1)).push(loc);
+        self.bytes_written.fetch_add(payload.len() as u64, Ordering::Relaxed);
+        Ok(payload.len() as u64)
+    }
+
+    /// Makes every record this handle saved durable: one fsync of its
+    /// segment, plus the directory the first time so the segment's name
+    /// survives a crash. A no-op when nothing was saved since the last.
+    pub fn commit(&self) -> io::Result<()> {
+        let mut segs = self.segs_mut();
+        let Some((file, end, synced)) = segs.own.as_mut().filter(|o| o.2 < o.1) else {
+            return Ok(());
+        };
+        file.sync_all()?;
+        if *synced == 0 {
+            File::open(&self.dir)?.sync_all()?;
+        }
+        *synced = *end;
+        Ok(())
     }
 
     /// Copies a shard document's results into the store — how
-    /// `merge --store` turns a pile of shard files into a warm cache.
-    /// Usable entries already present are left alone (a corrupt one is a
-    /// load miss and gets rewritten); errored points are never stored.
+    /// `merge --store` turns a pile of shard files into a warm cache —
+    /// and commits them. Usable entries already present are left alone
+    /// (a corrupt one is a load miss and gets rewritten); errored points
+    /// are never stored.
     pub fn backfill(&self, doc: &ShardDoc) {
         for (i, pr) in &doc.results {
             if pr.error.is_some() {
@@ -287,33 +338,46 @@ impl ResultStore {
                 self.warn(format_args!("cannot backfill entry {key}: {e}"));
             }
         }
+        if let Err(e) = self.commit() {
+            self.warn(format_args!("cannot commit backfilled entries: {e}"));
+        }
     }
 
-    /// Deletes every entry whose key is not in `live`, plus any `.tmp-*`
-    /// stragglers a crashed writer left behind. Files that are neither
-    /// entries nor stragglers are not the store's to touch and are left
-    /// alone. The caller assembles `live` from manifests via
+    /// Compacts the store: one intact record of each key in `live` is
+    /// appended to a fresh segment and committed, then every older
+    /// segment and any legacy `.dxr`/`.tmp-*` file is deleted. A crash
+    /// midway leaves only duplicate records. Other files are not the
+    /// store's to touch. The caller assembles `live` from manifests via
     /// [`ResultStore::point_key`] — see `xloops store prune`.
-    pub fn prune(&self, live: &HashSet<String>) -> std::io::Result<PruneReport> {
+    pub fn prune(&self, live: &HashSet<String>) -> io::Result<PruneReport> {
+        let old = scan(&self.dir)?;
+        *self.segs_mut() = Segments::default();
+        let mut keys: Vec<&String> = live.iter().collect();
+        keys.sort();
         let mut report = PruneReport::default();
-        for entry in fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-            let dead = match name.strip_suffix(&format!(".{ENTRY_EXT}")) {
-                Some(key) => !live.contains(key),
-                None => name.starts_with(".tmp-"),
-            };
-            if !dead {
-                if !name.starts_with(".tmp-") && name.ends_with(&format!(".{ENTRY_EXT}")) {
-                    report.kept += 1;
-                }
-                continue;
+        for key in keys {
+            let records = key_bits(key).and_then(|k| old.index.get(&k)).into_iter().flatten();
+            if let Some(result) = records.rev().find_map(|r| read_record(&r.0, r.1, r.2).ok()) {
+                self.save(key, &result)?;
+                report.kept += 1;
             }
-            let bytes = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            fs::remove_file(&path)?;
-            report.pruned += 1;
-            report.bytes_freed += bytes;
         }
+        self.commit()?;
+        let mut freed = 0;
+        for entry in fs::read_dir(&self.dir)? {
+            let (path, name) = entry.map(|e| (e.path(), e.file_name()))?;
+            let name = name.to_string_lossy();
+            let legacy = name.ends_with(".dxr") || name.starts_with(".tmp-");
+            if legacy || old.scans.iter().any(|s| s.name == name) {
+                freed += fs::metadata(&path)?.len();
+                fs::remove_file(&path)?;
+                report.pruned += u64::from(legacy);
+            }
+        }
+        report.pruned += old.scans.iter().map(|s| s.records).sum::<u64>() - report.kept;
+        let written = self.segs_mut().own.as_ref().map_or(0, |own| own.1);
+        report.bytes_freed = freed.saturating_sub(written);
+        *self.segs_mut() = scan(&self.dir)?;
         Ok(report)
     }
 
@@ -327,6 +391,75 @@ impl ResultStore {
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
         }
     }
+}
+
+/// A store key as the 64-bit value its 16 lowercase hex digits spell.
+fn key_bits(key: &str) -> Option<u64> {
+    u64::from_str_radix(key, 16).ok().filter(|k| format!("{k:016x}") == key)
+}
+
+/// Reads and decodes one record payload.
+fn read_record(file: &File, at: u64, len: u32) -> Result<PointResult, String> {
+    let mut bytes = vec![0; len as usize];
+    file.read_exact_at(&mut bytes, at).map_err(|e| e.to_string())?;
+    let value = binary::decode(&bytes).map_err(|e| e.to_string())?;
+    PointResult::from_json_value(&value).map_err(|e| e.to_string())
+}
+
+/// A record header, which the payload follows (integers little-endian):
+///
+/// ```text
+/// header := "XLR2" key:u64 len:u32 fnv1a64(previous 16 bytes):u64
+/// ```
+///
+/// The magic's last byte is the store generation; the one-file-per-entry
+/// `.dxr` layout was generation 1, and its files are never read.
+fn header(key: u64, len: u32) -> [u8; HEADER_LEN] {
+    let mut h = [0; HEADER_LEN];
+    h[..4].copy_from_slice(b"XLR2");
+    h[4..12].copy_from_slice(&key.to_le_bytes());
+    h[12..16].copy_from_slice(&len.to_le_bytes());
+    let sum = binary::fnv1a64(&h[..16]);
+    h[16..].copy_from_slice(&sum.to_le_bytes());
+    h
+}
+
+/// Indexes every segment in `dir` up to its length at open time, each
+/// until its first record with a torn or corrupt header.
+fn scan(dir: &Path) -> io::Result<Segments> {
+    let mut names: Vec<String> = fs::read_dir(dir)?
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.ends_with(SEGMENT_EXT))
+        .collect();
+    names.sort();
+    let mut segs = Segments::default();
+    for name in names {
+        let file = match File::open(dir.join(&name)) {
+            Ok(file) => Arc::new(file),
+            // A segment pruned since the listing is skipped.
+            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(e),
+        };
+        let bytes = file.metadata()?.len();
+        let mut reader = BufReader::new(&*file);
+        let (mut at, mut records, mut h) = (0, 0, [0; HEADER_LEN]);
+        while at + HEADER_LEN as u64 <= bytes && reader.read_exact(&mut h).is_ok() {
+            let key = u64::from_le_bytes(h[4..12].try_into().unwrap_or_default());
+            let len = u32::from_le_bytes(h[12..16].try_into().unwrap_or_default());
+            let end = at + (HEADER_LEN as u64) + u64::from(len);
+            if header(key, len) != h || end > bytes {
+                break;
+            }
+            // Most keys have one record; don't reserve room for four.
+            let loc = (Arc::clone(&file), end - u64::from(len), len);
+            segs.index.entry(key).or_insert_with(|| Vec::with_capacity(1)).push(loc);
+            reader.seek_relative(i64::from(len))?;
+            (at, records) = (end, records + 1);
+        }
+        let stopped_at = (at < bytes).then_some(at);
+        segs.scans.push(SegmentScan { name, records, bytes, stopped_at });
+    }
+    Ok(segs)
 }
 
 /// Grafts a `store` child onto the result's `profile` node (creating the
@@ -362,6 +495,32 @@ mod tests {
         dir.push(format!("xloops-store-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The store's segment files, in name order.
+    fn segment_files(dir: &Path) -> Vec<PathBuf> {
+        let mut segs: Vec<PathBuf> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.to_string_lossy().ends_with(SEGMENT_EXT))
+            .collect();
+        segs.sort();
+        segs
+    }
+
+    /// Every record of a segment file as (key, payload offset, payload
+    /// length), in file order.
+    fn records(bytes: &[u8]) -> Vec<(u64, usize, usize)> {
+        let mut out = Vec::new();
+        let mut at = 0;
+        while at + HEADER_LEN <= bytes.len() {
+            let key = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap());
+            let len = u32::from_le_bytes(bytes[at + 12..at + 16].try_into().unwrap());
+            assert_eq!(bytes[at..at + HEADER_LEN], header(key, len), "intact header at {at}");
+            out.push((key, at + HEADER_LEN, len as usize));
+            at += HEADER_LEN + len as usize;
+        }
+        out
     }
 
     fn fig9ish_spec() -> ExperimentSpec {
@@ -448,17 +607,18 @@ mod tests {
         let options = RunOptions::default();
         let cold = run_shard_stored(&spec, 0, 1, options.clone(), Some(&store));
 
-        // Truncate one entry, garble another, leave the rest alone.
-        let mut entries: Vec<PathBuf> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|x| x == ENTRY_EXT))
-            .collect();
-        entries.sort();
-        assert_eq!(entries.len(), spec.points.len());
-        let full = fs::read(&entries[0]).unwrap();
-        fs::write(&entries[0], &full[..full.len() / 2]).unwrap();
-        fs::write(&entries[1], b"\xd8XLS garbage").unwrap();
+        // One sweep, one segment, one record per point. Flip a payload
+        // byte of the first record and tear the last one off mid-payload;
+        // leave the rest alone.
+        let segs = segment_files(&dir);
+        assert_eq!(segs.len(), 1);
+        let mut bytes = fs::read(&segs[0]).unwrap();
+        let recs = records(&bytes);
+        assert_eq!(recs.len(), spec.points.len());
+        bytes[recs[0].1 + 7] ^= 0x20;
+        let (_, last_at, last_len) = recs[recs.len() - 1];
+        bytes.truncate(last_at + last_len / 2);
+        fs::write(&segs[0], &bytes).unwrap();
 
         let warm_store = ResultStore::open(&dir).unwrap();
         let warm = run_shard_stored(&spec, 0, 1, options, Some(&warm_store));
@@ -466,10 +626,12 @@ mod tests {
         assert_eq!(w.misses, 2, "both damaged entries must re-simulate");
         assert_eq!(w.hits as usize, spec.points.len() - 2);
         assert_eq!(warm, cold, "recovery must reproduce the cold results");
-        // The damaged entries were rewritten whole.
+        // The damaged entries were rewritten whole, into a new segment.
+        assert_eq!(segment_files(&dir).len(), 2);
         let again = ResultStore::open(&dir).unwrap();
         let rewarm = run_shard_stored(&spec, 0, 1, cold.options.clone(), Some(&again));
         assert_eq!(again.stats().hits as usize, spec.points.len());
+        assert_eq!(again.stats().corrupt, 0, "an intact record outranks a damaged one");
         assert_eq!(rewarm, cold);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -559,38 +721,56 @@ mod tests {
         let store = ResultStore::open(&dir).unwrap();
         let spec = fig9ish_spec();
         let options = RunOptions::default();
-        let _ = run_shard_stored(&spec, 0, 1, options.clone(), Some(&store));
+        let cold = run_shard_stored(&spec, 0, 1, options.clone(), Some(&store));
 
-        // A dead entry (stale key), an orphaned temp file, and a foreign
-        // file that prune must not touch.
-        fs::write(dir.join(format!("{:016x}.{ENTRY_EXT}", 0xdeadu64)), b"stale").unwrap();
+        // A dead record (stale key) in a second segment, a live key saved
+        // twice, a legacy generation-1 entry, an orphaned temp file, and a
+        // foreign file that prune must not touch.
+        let other = ResultStore::open(&dir).unwrap();
+        let fp = spec.fingerprint();
+        other.save(&format!("{:016x}", 0xdeadu64), &cold.results[0].1).unwrap();
+        other.save(&ResultStore::point_key(&fp, 0, &options), &cold.results[0].1).unwrap();
+        other.commit().unwrap();
+        fs::write(dir.join(format!("{:016x}.dxr", 0xbeefu64)), b"stale").unwrap();
         fs::write(dir.join(".tmp-feedface-99999"), b"orphan").unwrap();
         fs::write(dir.join("README.txt"), b"not a store entry").unwrap();
+        assert_eq!(segment_files(&dir).len(), 2);
 
-        let fp = spec.fingerprint();
         let live: HashSet<String> =
             (0..spec.points.len()).map(|i| ResultStore::point_key(&fp, i, &options)).collect();
         let report = store.prune(&live).unwrap();
         assert_eq!(report.kept as usize, spec.points.len());
-        assert_eq!(report.pruned, 2, "stale entry + orphaned temp file");
+        assert_eq!(report.pruned, 4, "stale + duplicate record, legacy entry, temp file");
         assert!(report.bytes_freed > 0);
         assert!(dir.join("README.txt").exists(), "foreign files survive prune");
+        let segs = segment_files(&dir);
+        assert_eq!(segs.len(), 1, "compaction leaves one segment");
+        assert_eq!(records(&fs::read(&segs[0]).unwrap()).len(), spec.points.len());
+        assert_eq!(store.segments().len(), 1, "the pruning handle sees the new layout");
 
-        // Every live entry still serves.
+        // Every live entry still serves, from a fresh handle and the
+        // pruning one alike.
         let warm = ResultStore::open(&dir).unwrap();
-        let _ = run_shard_stored(&spec, 0, 1, options, Some(&warm));
+        let _ = run_shard_stored(&spec, 0, 1, options.clone(), Some(&warm));
         assert_eq!(warm.stats().hits as usize, spec.points.len());
         assert_eq!(warm.stats().misses, 0);
+        for i in 0..spec.points.len() {
+            assert!(store.load(&ResultStore::point_key(&fp, i, &options)).is_some());
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_loads_are_counted_and_quiet_suppresses_nothing_else() {
         let dir = store_dir("quietcorrupt");
+        fs::create_dir_all(&dir).unwrap();
+        let key = ResultStore::point_key("feedfacefeedface", 0, &RunOptions::default());
+        // An intact header over a garbled payload.
+        let garbage = b"\xd8XLS garbage";
+        let record = [&header(key_bits(&key).unwrap(), garbage.len() as u32)[..], garbage];
+        fs::write(dir.join(format!("0-0{SEGMENT_EXT}")), record.concat()).unwrap();
         let store = ResultStore::open(&dir).unwrap();
         store.set_quiet(true); // keep the damage warning out of test output
-        let key = ResultStore::point_key("feedfacefeedface", 0, &RunOptions::default());
-        fs::write(dir.join(format!("{key}.{ENTRY_EXT}")), b"\xd8XLS garbage").unwrap();
         assert!(store.load(&key).is_none());
         let s = store.stats();
         assert_eq!(s.corrupt, 1, "damaged entry must be counted, not just missed");

@@ -320,9 +320,9 @@ impl RemoteRegistry {
     }
 
     fn uncheckout(&self) {
-        let _ = self.checked_out.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-            Some(n.saturating_sub(1))
-        });
+        let _ = self
+            .checked_out
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| Some(n.saturating_sub(1)));
     }
 
     /// How many idle remote workers are registered right now.

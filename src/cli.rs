@@ -45,7 +45,7 @@
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use crate::asm::{assemble, disassemble, Program};
 use crate::bench::experiments::{all_specs, spec_by_name};
@@ -205,6 +205,11 @@ pub enum Command {
         manifests: Vec<String>,
         store: Option<String>,
     },
+    /// `store stat [--store DIR]`: count a store's records, segments and
+    /// bytes, and name any segment whose scan stopped early. Read-only.
+    StoreStat {
+        store: Option<String>,
+    },
     Help,
 }
 
@@ -301,7 +306,8 @@ pub fn usage() -> &'static str {
      \x20 xloops submit <spec.json> [--wait] [--sock PATH]\n\
      \x20 xloops status [<job>] [--sock PATH]\n\
      \x20 xloops shutdown [--sock PATH]\n\
-     \x20 xloops store prune --manifest <file>... [--store DIR]\n\n\
+     \x20 xloops store prune --manifest <file>... [--store DIR]\n\
+     \x20 xloops store stat [--store DIR]\n\n\
      configs: io ooo2 ooo4 io+x ooo2+x ooo4+x   modes: traditional specialized adaptive\n\
      stats formats: text (default) json\n\
      supervision (run/kernel): --faults SEED[:N]  --checkpoint CYCLES  --budget CYCLES\n\
@@ -611,11 +617,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Shutdown { sock })
         }
         "store" => {
-            match args.get(1).map(String::as_str) {
-                Some("prune") => {}
+            let prune = match args.get(1).map(String::as_str) {
+                Some(action @ ("prune" | "stat")) => action == "prune",
                 Some(other) => return Err(format!("unknown store action `{other}`")),
-                None => return Err("store expects an action (prune)".into()),
-            }
+                None => return Err("store expects an action (prune, stat)".into()),
+            };
             let mut manifests = Vec::new();
             let mut store = None;
             let mut it = args[2..].iter();
@@ -623,7 +629,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 let mut next =
                     |what: &str| it.next().cloned().ok_or_else(|| format!("{a} expects {what}"));
                 match a.as_str() {
-                    "--manifest" => {
+                    "--manifest" if prune => {
                         let path = next("a spec file")?;
                         manifests.push(
                             std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?,
@@ -632,6 +638,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     "--store" => store = Some(next("a directory")?),
                     other => return Err(format!("unknown option `{other}`")),
                 }
+            }
+            if !prune {
+                return Ok(Command::StoreStat { store });
             }
             if manifests.is_empty() {
                 return Err("store prune expects at least one --manifest FILE".into());
@@ -1039,6 +1048,34 @@ pub fn execute(cmd: Command) -> Result<CommandOutput, CliError> {
             let req = JsonValue::object(vec![("cmd", JsonValue::Str("shutdown".to_string()))]);
             daemon_request(&ep, &req)?;
             Ok((format!("daemon on {} shutting down\n", ep.describe()), None))
+        }
+        Command::StoreStat { store } => {
+            let dir = store
+                .or_else(|| std::env::var("XLOOPS_STORE").ok().filter(|d| !d.is_empty()))
+                .ok_or_else(|| manifest_error("store stat needs --store DIR or XLOOPS_STORE"))?;
+            // Read-only: never create the directory a typo names.
+            if !Path::new(&dir).is_dir() {
+                return Err(manifest_error(format!("{dir}: no such store directory")));
+            }
+            let segments = ResultStore::open(&dir)
+                .map_err(|e| manifest_error(format!("{dir}: {e}")))?
+                .segments();
+            let records: u64 = segments.iter().map(|s| s.records).sum();
+            let bytes: u64 = segments.iter().map(|s| s.bytes).sum();
+            let mut text = format!(
+                "store {dir}: {records} records, {} segments, {bytes} bytes\n",
+                segments.len()
+            );
+            for s in &segments {
+                if let Some(at) = s.stopped_at {
+                    let _ = writeln!(
+                        text,
+                        "segment {}: scan stopped at byte {at} of {}",
+                        s.name, s.bytes
+                    );
+                }
+            }
+            Ok((text, None))
         }
         Command::StorePrune { manifests, store } => {
             let store = open_store(store)?
@@ -1541,6 +1578,45 @@ mod tests {
         let cold_doc = ShardDoc::from_bytes(&cold_file.unwrap().1).unwrap();
         let warm_doc = ShardDoc::from_bytes(&warm_file.unwrap().1).unwrap();
         assert_eq!(cold_doc, warm_doc);
+    }
+
+    #[test]
+    fn store_stat_counts_records_and_reports_a_torn_segment() {
+        assert!(matches!(
+            parse(&sv(&["store", "stat", "--store", "/tmp/s"])).unwrap(),
+            Command::StoreStat { store: Some(_) }
+        ));
+        assert!(parse(&sv(&["store", "stat", "--manifest", "f.json"])).is_err());
+        assert!(parse(&sv(&["store", "frob"])).is_err());
+
+        let tmp = TempDir::new("store-stat");
+        let dir = tmp.0.join("store");
+        let stat = |dir: &std::path::Path| {
+            execute(Command::StoreStat { store: Some(dir.to_string_lossy().into_owned()) })
+        };
+        // Read-only: a missing directory is an error, and stays missing.
+        assert_eq!(stat(&dir).unwrap_err().code, 2);
+        assert!(!dir.exists());
+
+        let store = ResultStore::open(&dir).unwrap();
+        let result = crate::bench::manifest::PointResult {
+            stats: crate::stats::StatSet::new("system"),
+            error: None,
+        };
+        for i in 0..3 {
+            store.save(&format!("{i:016x}"), &result).unwrap();
+        }
+        store.commit().unwrap();
+        let (text, _) = stat(&dir).unwrap();
+        assert!(text.contains(": 3 records, 1 segments, "), "{text}");
+        assert!(!text.contains("stopped"), "{text}");
+
+        let seg = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+        let bytes = std::fs::read(&seg).unwrap();
+        std::fs::write(&seg, &bytes[..bytes.len() - 1]).unwrap();
+        let (text, _) = stat(&dir).unwrap();
+        assert!(text.contains(": 2 records, 1 segments, "), "{text}");
+        assert!(text.contains("scan stopped at byte"), "{text}");
     }
 
     #[test]
