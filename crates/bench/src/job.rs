@@ -14,7 +14,7 @@
 //! A job moves through a typed lifecycle:
 //!
 //! ```text
-//! Queued → Running → Done(StatSet)
+//! Queued → Running → Done
 //!                  | Failed(SimError)      typed simulation error
 //!                  | Quarantined(message)  panic / verification failure
 //! ```
@@ -28,7 +28,7 @@
 //! rest of the sweep keeps running.
 
 use xloops_sim::{error_doc, RunOptions, SimError};
-use xloops_stats::{JsonValue, StatSet};
+use xloops_stats::JsonValue;
 
 use crate::manifest::{shard_points, ExperimentSpec};
 use crate::store::ResultStore;
@@ -80,8 +80,8 @@ pub enum JobState {
     Queued,
     /// Dispatched to a worker.
     Running,
-    /// Finished; the full stat tree of the run.
-    Done(Box<StatSet>),
+    /// Finished; the result rides in [`crate::sched::JobOutcome::result`].
+    Done,
     /// The simulation raised a typed [`SimError`] (wedge, fault, budget).
     Failed(SimError),
     /// The point panicked or failed verification; the diagnosis message.
@@ -96,7 +96,7 @@ impl JobState {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
-            JobState::Done(_) => "done",
+            JobState::Done => "done",
             JobState::Failed(_) => "failed",
             JobState::Quarantined(_) => "quarantined",
         }
@@ -109,7 +109,7 @@ impl JobState {
 
     /// Whether the job finished successfully.
     pub fn is_done(&self) -> bool {
-        matches!(self, JobState::Done(_))
+        matches!(self, JobState::Done)
     }
 
     /// The canonical error document for a failed state (`None` for the
@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn lifecycle_labels_and_error_docs() {
-        let done = JobState::Done(Box::new(StatSet::new("system")));
+        let done = JobState::Done;
         assert_eq!(done.label(), "done");
         assert!(done.is_terminal() && done.is_done());
         assert!(done.to_error_doc().is_none());

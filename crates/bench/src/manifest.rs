@@ -953,6 +953,27 @@ impl PointResult {
         Ok(PointResult { stats, error })
     }
 
+    /// Decodes a binary [`PointResult::to_json_value`] document (a store
+    /// record) straight off the bytes, accepting and rejecting exactly
+    /// what [`PointResult::from_json_value`] does on the decoded value.
+    pub fn from_binary(bytes: &[u8]) -> Result<PointResult, ManifestError> {
+        let (mut error, mut stats) = (None, None);
+        binary::read(bytes, |c| {
+            c.object(|c, key| match key {
+                "error" if error.is_none() => {
+                    c.opt_str().map(|e| error = Some(e.map(str::to_string)))
+                }
+                "stats" if stats.is_none() => StatSet::from_cursor(c).map(|s| stats = Some(s)),
+                _ => c.skip(),
+            })
+        })?;
+        match (error, stats) {
+            (Some(error), Some(stats)) => Ok(PointResult { stats, error }),
+            (None, _) => Err(schema("missing field `error`")),
+            (_, None) => Err(schema("missing field `stats`")),
+        }
+    }
+
     fn counter(&self, path: &str) -> u64 {
         self.stats.lookup(path).and_then(StatValue::as_counter).unwrap_or(0)
     }

@@ -249,12 +249,14 @@ pub struct SweepOutcome {
     pub prefill: PrefillInfo,
 }
 
-/// One spec's store probe: the owned point indices and, per index, the
-/// loaded entry (hit) or `None` (miss, to be simulated), plus whether the
-/// miss was a damaged entry rather than an absent one.
+/// One spec's store probe: the owned point indices and, per index, its
+/// store key (computed once per sweep), the loaded entry (hit) or `None`
+/// (miss, to be simulated), and whether the miss was a damaged entry
+/// rather than an absent one.
 struct Probe {
     fingerprint: String,
     indices: Vec<usize>,
+    keys: Vec<String>,
     loaded: Vec<Option<(PointResult, u64)>>,
     corrupt: Vec<bool>,
 }
@@ -411,18 +413,17 @@ impl<'a> Scheduler<'a> {
         work: &[(&ExperimentSpec, Vec<usize>)],
         probes: &[Probe],
     ) -> (Vec<Vec<PointResult>>, Vec<RunFailure>, PrefillInfo) {
-        let mut unique: HashMap<String, usize> = HashMap::new();
+        let mut unique: HashMap<&str, usize> = HashMap::new();
         let mut jobs: Vec<WireJob<'_>> = Vec::new();
         // Per probe, the unique-job slot of each miss, in index order.
         let mut slots: Vec<Vec<usize>> = Vec::with_capacity(probes.len());
         for ((spec, _), probe) in work.iter().zip(probes) {
             let mut mine = Vec::new();
-            for (&i, slot) in probe.indices.iter().zip(&probe.loaded) {
+            for ((&i, key), slot) in probe.indices.iter().zip(&probe.keys).zip(&probe.loaded) {
                 if slot.is_some() {
                     continue;
                 }
-                let key = ResultStore::point_key(&probe.fingerprint, i, &self.options);
-                let at = *unique.entry(key).or_insert_with(|| {
+                let at = *unique.entry(key.as_str()).or_insert_with(|| {
                     jobs.push(WireJob {
                         spec,
                         fingerprint: probe.fingerprint.clone(),
@@ -462,37 +463,19 @@ impl<'a> Scheduler<'a> {
 
     fn probe(&self, spec: &ExperimentSpec, indices: Vec<usize>) -> Probe {
         let fingerprint = spec.fingerprint();
-        let mut loaded = Vec::with_capacity(indices.len());
-        let mut corrupt = Vec::with_capacity(indices.len());
-        for &i in &indices {
-            match self.store {
-                Some(store) => {
-                    match store.load_classified(&ResultStore::point_key(
-                        &fingerprint,
-                        i,
-                        &self.options,
-                    )) {
-                        Loaded::Hit(result, bytes) => {
-                            loaded.push(Some((result, bytes)));
-                            corrupt.push(false);
-                        }
-                        Loaded::Absent => {
-                            loaded.push(None);
-                            corrupt.push(false);
-                        }
-                        Loaded::Corrupt => {
-                            loaded.push(None);
-                            corrupt.push(true);
-                        }
-                    }
-                }
-                None => {
-                    loaded.push(None);
-                    corrupt.push(false);
-                }
-            }
-        }
-        Probe { fingerprint, indices, loaded, corrupt }
+        let keys: Vec<String> = indices
+            .iter()
+            .map(|&i| ResultStore::point_key(&fingerprint, i, &self.options))
+            .collect();
+        let (loaded, corrupt) = keys
+            .iter()
+            .map(|key| match self.store.map(|store| store.load_classified(key)) {
+                Some(Loaded::Hit(result, bytes)) => (Some((result, bytes)), false),
+                Some(Loaded::Corrupt) => (None, true),
+                Some(Loaded::Absent) | None => (None, false),
+            })
+            .unzip();
+        Probe { fingerprint, indices, keys, loaded, corrupt }
     }
 
     /// Zips hits and freshly simulated misses back into point order,
@@ -511,9 +494,10 @@ impl<'a> Scheduler<'a> {
         probe
             .indices
             .into_iter()
+            .zip(probe.keys)
             .zip(probe.loaded)
             .zip(probe.corrupt)
-            .map(|((i, slot), corrupt)| {
+            .map(|(((i, key), slot), corrupt)| {
                 let this = *job;
                 *job += 1;
                 events.push(ProgressEvent::Queued { job: this });
@@ -532,8 +516,6 @@ impl<'a> Scheduler<'a> {
                         let mut written = 0;
                         if result.error.is_none() {
                             if let Some(store) = self.store {
-                                let key =
-                                    ResultStore::point_key(&probe.fingerprint, i, &self.options);
                                 match store.save(&key, &result) {
                                     Ok(n) => written = n,
                                     Err(e) => store.warn(format_args!(
@@ -546,7 +528,7 @@ impl<'a> Scheduler<'a> {
                     }
                 };
                 let state = match &result.error {
-                    None => JobState::Done(Box::new(result.stats.clone())),
+                    None => JobState::Done,
                     Some(message) => match typed.get(message.as_str()) {
                         Some(e) => JobState::Failed((*e).clone()),
                         None => JobState::Quarantined(message.clone()),

@@ -402,8 +402,7 @@ fn key_bits(key: &str) -> Option<u64> {
 fn read_record(file: &File, at: u64, len: u32) -> Result<PointResult, String> {
     let mut bytes = vec![0; len as usize];
     file.read_exact_at(&mut bytes, at).map_err(|e| e.to_string())?;
-    let value = binary::decode(&bytes).map_err(|e| e.to_string())?;
-    PointResult::from_json_value(&value).map_err(|e| e.to_string())
+    PointResult::from_binary(&bytes).map_err(|e| e.to_string())
 }
 
 /// A record header, which the payload follows (integers little-endian):

@@ -35,7 +35,10 @@
 //! The trailing FNV-1a-64 checksum is verified *before* any structural
 //! decoding, so a truncated or bit-flipped document fails fast with
 //! [`BinaryError`] instead of being misread; decoding never panics on
-//! arbitrary bytes (same depth guard as the JSON parser).
+//! arbitrary bytes (same depth guard as the JSON parser). One walker,
+//! [`Cursor`], reads the grammar: [`decode`] builds a [`JsonValue`] with
+//! it, and typed readers such as [`crate::StatSet::from_cursor`] pull
+//! values straight into their own types.
 //!
 //! Determinism: encoding is a pure function of the value (key-table order
 //! is first appearance, field order is insertion order), so equal
@@ -209,13 +212,34 @@ pub fn encode(v: &JsonValue) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-struct Reader<'a> {
+/// A borrowed, typed reader over one binary document — the only walker
+/// of the grammar. [`read`] opens one: it checks the magic, the checksum, the
+/// version and the key table (keys stay `&str` slices of the input);
+/// the typed pulls then consume one value each. A pull that meets the
+/// wrong tag is an error, so a caller decoding straight into its own
+/// types needs no intermediate [`JsonValue`] tree; [`Cursor::skip`]
+/// validates a value it does not want exactly as [`decode`] would.
+/// Never panics on any input; nesting past the depth guard is an error.
+pub struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    keys: Vec<&'a str>,
 }
 
-impl<'a> Reader<'a> {
+/// One value's head: a whole scalar, or a container's element count.
+enum Head<'a> {
+    Null,
+    Bool(bool),
+    UInt(u64),
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    Array(usize),
+    Object(usize),
+}
+
+impl<'a> Cursor<'a> {
     fn err(&self, message: impl Into<String>) -> BinaryError {
         BinaryError { pos: self.pos, message: message.into() }
     }
@@ -261,97 +285,192 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    fn string(&mut self, what: &str) -> Result<String, BinaryError> {
+    fn string(&mut self, what: &str) -> Result<&'a str, BinaryError> {
         let n = self.len(what)?;
         let pos = self.pos;
         let bytes = self.take(n)?;
-        std::str::from_utf8(bytes).map(str::to_string).map_err(|e| BinaryError {
+        std::str::from_utf8(bytes).map_err(|e| BinaryError {
             pos: pos + e.valid_up_to(),
             message: format!("{what} is not UTF-8"),
         })
     }
 
-    fn value(&mut self, keys: &[String]) -> Result<JsonValue, BinaryError> {
+    /// Reads the next value's tag and, for a scalar, its payload; for a
+    /// container, its element count.
+    fn head(&mut self) -> Result<Head<'a>, BinaryError> {
         if self.depth >= MAX_DEPTH {
             return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
         }
-        self.depth += 1;
-        let v = match self.byte()? {
-            TAG_NULL => JsonValue::Null,
-            TAG_FALSE => JsonValue::Bool(false),
-            TAG_TRUE => JsonValue::Bool(true),
-            TAG_UINT => JsonValue::UInt(self.varint()?),
-            TAG_INT => JsonValue::Int(unzigzag(self.varint()?)),
+        Ok(match self.byte()? {
+            TAG_NULL => Head::Null,
+            TAG_FALSE => Head::Bool(false),
+            TAG_TRUE => Head::Bool(true),
+            TAG_UINT => Head::UInt(self.varint()?),
+            TAG_INT => Head::Int(unzigzag(self.varint()?)),
             TAG_FLOAT => {
                 let b = self.take(8)?;
-                JsonValue::Float(f64::from_bits(u64::from_le_bytes([
+                Head::Float(f64::from_bits(u64::from_le_bytes([
                     b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
                 ])))
             }
-            TAG_STR => JsonValue::Str(self.string("string")?),
-            TAG_ARRAY => {
-                let n = self.len("array")?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(self.value(keys)?);
-                }
-                JsonValue::Array(items)
-            }
-            TAG_OBJECT => {
-                let n = self.len("object")?;
-                let mut fields = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let i = self.varint()?;
-                    let key = keys
-                        .get(i as usize)
-                        .ok_or_else(|| self.err(format!("key index {i} out of table")))?;
-                    fields.push((key.clone(), self.value(keys)?));
-                }
-                JsonValue::Object(fields)
-            }
+            TAG_STR => Head::Str(self.string("string")?),
+            TAG_ARRAY => Head::Array(self.len("array")?),
+            TAG_OBJECT => Head::Object(self.len("object")?),
             tag => return Err(self.err(format!("unknown value tag {tag:#04x}"))),
-        };
+        })
+    }
+
+    /// Runs `body` over `n` elements one nesting level down.
+    fn elements<T>(
+        &mut self,
+        n: usize,
+        mut body: impl FnMut(&mut Self) -> Result<T, BinaryError>,
+    ) -> Result<Vec<T>, BinaryError> {
+        self.depth += 1;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(body(self)?);
+        }
         self.depth -= 1;
-        Ok(v)
+        Ok(items)
+    }
+
+    fn key(&mut self) -> Result<&'a str, BinaryError> {
+        let i = self.varint()?;
+        match self.keys.get(i as usize) {
+            Some(&key) => Ok(key),
+            None => Err(self.err(format!("key index {i} out of table"))),
+        }
+    }
+
+    /// Pulls an object, calling `field` with each key in document order;
+    /// `field` must consume exactly that field's value.
+    pub fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, &'a str) -> Result<(), BinaryError>,
+    ) -> Result<(), BinaryError> {
+        match self.head()? {
+            Head::Object(n) => {
+                self.elements(n, |c| c.key().and_then(|key| field(c, key))).map(drop)
+            }
+            _ => Err(self.err("expected an object")),
+        }
+    }
+
+    /// Pulls an array, calling `item` once per element; `item` must
+    /// consume exactly that element.
+    pub fn array(
+        &mut self,
+        item: impl FnMut(&mut Self) -> Result<(), BinaryError>,
+    ) -> Result<(), BinaryError> {
+        match self.head()? {
+            Head::Array(n) => self.elements(n, item).map(drop),
+            _ => Err(self.err("expected an array")),
+        }
+    }
+
+    /// Pulls a non-negative integer.
+    pub fn u64(&mut self) -> Result<u64, BinaryError> {
+        match self.head()? {
+            Head::UInt(v) => Ok(v),
+            _ => Err(self.err("expected an unsigned integer")),
+        }
+    }
+
+    /// Pulls a number the way [`JsonValue::as_f64`] reads one: floats
+    /// verbatim, integers widened, `null` as NaN.
+    pub fn f64(&mut self) -> Result<f64, BinaryError> {
+        match self.head()? {
+            Head::Float(v) => Ok(v),
+            Head::UInt(v) => Ok(v as f64),
+            Head::Int(v) => Ok(v as f64),
+            Head::Null => Ok(f64::NAN),
+            _ => Err(self.err("expected a number")),
+        }
+    }
+
+    /// Pulls a string, borrowed from the input.
+    pub fn str(&mut self) -> Result<&'a str, BinaryError> {
+        match self.head()? {
+            Head::Str(s) => Ok(s),
+            _ => Err(self.err("expected a string")),
+        }
+    }
+
+    /// Pulls a string or `null` (`None`).
+    pub fn opt_str(&mut self) -> Result<Option<&'a str>, BinaryError> {
+        match self.head()? {
+            Head::Str(s) => Ok(Some(s)),
+            Head::Null => Ok(None),
+            _ => Err(self.err("expected a string or null")),
+        }
+    }
+
+    /// Consumes one value of any shape, validating it as [`decode`] does.
+    pub fn skip(&mut self) -> Result<(), BinaryError> {
+        match self.head()? {
+            Head::Array(n) => self.elements(n, Cursor::skip).map(drop),
+            Head::Object(n) => self.elements(n, |c| c.key().and_then(|_| c.skip())).map(drop),
+            _ => Ok(()),
+        }
+    }
+
+    /// Pulls one value of any shape as a [`JsonValue`] tree.
+    fn value(&mut self) -> Result<JsonValue, BinaryError> {
+        Ok(match self.head()? {
+            Head::Null => JsonValue::Null,
+            Head::Bool(b) => JsonValue::Bool(b),
+            Head::UInt(v) => JsonValue::UInt(v),
+            Head::Int(v) => JsonValue::Int(v),
+            Head::Float(v) => JsonValue::Float(v),
+            Head::Str(s) => JsonValue::Str(s.to_string()),
+            Head::Array(n) => JsonValue::Array(self.elements(n, Cursor::value)?),
+            Head::Object(n) => {
+                JsonValue::Object(self.elements(n, |c| Ok((c.key()?.to_string(), c.value()?)))?)
+            }
+        })
     }
 }
 
-/// Decodes one binary document. Total: any byte string either decodes or
-/// returns a typed [`BinaryError`] — never a panic — and the checksum is
-/// verified before structural decoding, so corruption is caught up front.
-pub fn decode(bytes: &[u8]) -> Result<JsonValue, BinaryError> {
+/// Reads one whole document: opens a [`Cursor`], lets `root` consume the
+/// root value, and checks nothing trails it.
+pub fn read<'a, T>(
+    bytes: &'a [u8],
+    root: impl FnOnce(&mut Cursor<'a>) -> Result<T, BinaryError>,
+) -> Result<T, BinaryError> {
     if !is_binary(bytes) {
         return Err(BinaryError { pos: 0, message: "missing binary-document magic".into() });
     }
-    if bytes.len() < MAGIC.len() + 1 + 8 {
+    let Some((body, tail)) = bytes.split_last_chunk::<8>().filter(|(b, _)| b.len() > MAGIC.len())
+    else {
         return Err(BinaryError { pos: bytes.len(), message: "truncated header".into() });
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes([
-        tail[0], tail[1], tail[2], tail[3], tail[4], tail[5], tail[6], tail[7],
-    ]);
-    let computed = fnv1a64(body);
+    };
+    let (stored, computed) = (u64::from_le_bytes(*tail), fnv1a64(body));
     if stored != computed {
         return Err(BinaryError {
             pos: body.len(),
             message: format!("checksum mismatch (stored {stored:016x}, computed {computed:016x})"),
         });
     }
-    let mut r = Reader { bytes: body, pos: MAGIC.len(), depth: 0 };
-    let version = r.byte()?;
+    let mut c = Cursor { bytes: body, pos: MAGIC.len(), depth: 0, keys: Vec::new() };
+    let version = c.byte()?;
     if version != VERSION {
-        return Err(r.err(format!("unsupported version {version} (expected {VERSION})")));
+        return Err(c.err(format!("unsupported version {version} (expected {VERSION})")));
     }
-    let key_count = r.len("key table")?;
-    let mut keys = Vec::with_capacity(key_count);
-    for _ in 0..key_count {
-        keys.push(r.string("key")?);
-    }
-    let value = r.value(&keys)?;
-    if r.pos != body.len() {
-        return Err(r.err(format!("{} trailing byte(s) after the value", body.len() - r.pos)));
+    let key_count = c.len("key table")?;
+    c.keys = c.elements(key_count, |c| c.string("key"))?;
+    let value = root(&mut c)?;
+    if c.pos != body.len() {
+        return Err(c.err(format!("{} trailing byte(s) after the value", body.len() - c.pos)));
     }
     Ok(value)
+}
+
+/// Decodes one binary document. Total: any byte string either decodes or
+/// returns a typed [`BinaryError`] — never a panic — and the checksum is
+/// verified before structural decoding, so corruption is caught up front.
+pub fn decode(bytes: &[u8]) -> Result<JsonValue, BinaryError> {
+    read(bytes, Cursor::value)
 }
 
 #[cfg(test)]
@@ -445,6 +564,39 @@ mod tests {
         let mut soup = MAGIC.to_vec();
         soup.extend_from_slice(&[VERSION, 0xff, 0xff, 0xff, 0xff]);
         assert!(decode(&soup).is_err());
+    }
+
+    #[test]
+    fn typed_pulls_share_the_decoders_guards() {
+        // The depth guard: 127 nested arrays hold a scalar, 128 do not,
+        // whether the walk builds a tree or skips.
+        for (depth, ok) in [(127, true), (128, false)] {
+            let mut v = JsonValue::Null;
+            for _ in 0..depth {
+                v = JsonValue::Array(vec![v]);
+            }
+            let bytes = encode(&v);
+            assert_eq!(decode(&bytes).is_ok(), ok, "decode at depth {depth}");
+            assert_eq!(read(&bytes, Cursor::skip).is_ok(), ok, "skip at depth {depth}");
+        }
+        // A pull of the wrong type fails; the right one reads through.
+        let bytes = encode(&sample());
+        let name = read(&bytes, |c| {
+            let mut name = None;
+            c.object(|c, key| match key {
+                "name" => c.str().map(|s| name = Some(s)),
+                "neg" | "f" => c.f64().map(drop),
+                _ => c.skip(),
+            })?;
+            Ok(name)
+        });
+        assert_eq!(name, Ok(Some("system")));
+        assert!(read(&bytes, |c| c.array(Cursor::skip)).is_err());
+        assert!(read(&bytes, Cursor::u64).is_err());
+        // A reader that stops short of the root's end trips the
+        // trailing-bytes check.
+        let e = read(&encode(&JsonValue::Array(vec![JsonValue::Null])), |_| Ok(())).unwrap_err();
+        assert!(e.message.contains("trailing"), "{e}");
     }
 
     #[test]

@@ -238,8 +238,38 @@ impl StatSet {
     /// Decodes a [`StatSet::to_binary`] document. Exact inverse: unlike
     /// the JSON text path, non-finite metrics survive bit-for-bit.
     pub fn from_binary(bytes: &[u8]) -> Result<StatSet, BinaryError> {
-        let value = binary::decode(bytes)?;
-        Self::from_json_value(&value).map_err(|e| BinaryError { pos: 0, message: e.message })
+        binary::read(bytes, StatSet::from_cursor)
+    }
+
+    /// Reads one stat node straight off a [`binary::Cursor`], with no
+    /// [`JsonValue`] in between. Accepts and rejects exactly what
+    /// [`StatSet::from_json_value`] does on the decoded value: the first
+    /// of duplicate fields wins, and later duplicates and unknown fields
+    /// are validated, then ignored.
+    pub fn from_cursor(c: &mut binary::Cursor<'_>) -> Result<StatSet, BinaryError> {
+        const FIELDS: [&str; 4] = ["name", "counters", "metrics", "children"];
+        let mut set = StatSet::default();
+        let mut seen = [false; 4];
+        c.object(|c, key| {
+            let Some(i) = FIELDS.iter().position(|&k| k == key).filter(|&i| !seen[i]) else {
+                return c.skip();
+            };
+            seen[i] = true;
+            match i {
+                0 => set.name = c.str()?.to_string(),
+                1 => c.object(|c, n| c.u64().map(|v| _ = set.set(n, v)))?,
+                2 => c.object(|c, n| c.f64().map(|v| _ = set.set_metric(n, v)))?,
+                _ => c.array(|c| StatSet::from_cursor(c).map(|k| _ = set.push_child(k)))?,
+            }
+            Ok(())
+        })?;
+        match seen.iter().position(|s| !s) {
+            Some(i) => Err(BinaryError {
+                pos: 0,
+                message: format!("stat node is missing `{}`", FIELDS[i]),
+            }),
+            None => Ok(set),
+        }
     }
 
     /// [`StatSet::from_json`] on an already-parsed [`JsonValue`].

@@ -190,3 +190,27 @@ proptest! {
         }
     }
 }
+
+/// The least of several timings of parsing one JSON string of `n` bytes.
+fn min_parse_time(n: usize) -> std::time::Duration {
+    let doc = format!("\"{}\"", "λx".repeat(n / 3));
+    (0..7)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            let v = JsonValue::parse(&doc).expect("a valid string document");
+            let elapsed = t.elapsed();
+            assert_eq!(v.as_str().map(str::len), Some(doc.len() - 2));
+            elapsed
+        })
+        .min()
+        .expect("at least one repetition")
+}
+
+#[test]
+fn string_parsing_is_linear_time() {
+    // 16× the bytes must cost well under 64× the time; a parser that
+    // rescans the rest of the document per string byte costs ~256×.
+    let small = min_parse_time(16 << 10);
+    let large = min_parse_time(256 << 10);
+    assert!(large < small * 64, "16 KiB: {small:?}, 256 KiB: {large:?}");
+}

@@ -87,7 +87,7 @@ fn a_sigkilled_worker_is_retried_to_the_identical_artifact() {
     assert!(marker.exists(), "the chaos hook must actually have fired");
     let _ = std::fs::remove_file(&marker);
     for (i, o) in pooled.iter().enumerate() {
-        assert!(matches!(o.state, JobState::Done(_)), "point {i} must recover: {:?}", o.state);
+        assert!(o.state.is_done(), "point {i} must recover: {:?}", o.state);
     }
     assert_eq!(rendered(&pooled), rendered(&reference), "retried results must be byte-identical");
 }
@@ -107,7 +107,7 @@ fn a_persistently_crashing_job_is_quarantined_with_a_typed_error_doc() {
         if i == 1 {
             continue;
         }
-        assert!(matches!(o.state, JobState::Done(_)), "point {i} must survive: {:?}", o.state);
+        assert!(o.state.is_done(), "point {i} must survive: {:?}", o.state);
     }
     let sick = &outcomes[1];
     match &sick.state {
@@ -149,7 +149,7 @@ fn a_wedged_job_expires_on_its_deadline_and_the_sweep_completes() {
     let doc = sick.to_error_doc().expect("a timed-out outcome carries an error doc");
     assert_eq!(exit_code(&doc), Some(7.0), "{}", doc.render());
     for (i, o) in outcomes.iter().enumerate().skip(1) {
-        assert!(matches!(o.state, JobState::Done(_)), "point {i} must survive: {:?}", o.state);
+        assert!(o.state.is_done(), "point {i} must survive: {:?}", o.state);
     }
 }
 
@@ -165,7 +165,7 @@ fn an_unspawnable_worker_degrades_to_in_process_identical_results() {
     let reference = sweep(&spec, None);
 
     for (i, o) in degraded.iter().enumerate() {
-        assert!(matches!(o.state, JobState::Done(_)), "point {i} must complete: {:?}", o.state);
+        assert!(o.state.is_done(), "point {i} must complete: {:?}", o.state);
     }
     assert_eq!(rendered(&degraded), rendered(&reference), "degraded route must match bytes");
 }
