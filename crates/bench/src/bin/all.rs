@@ -1,26 +1,27 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //! Run with --release; artifacts land in `results/`.
 //!
-//! Iterates the declarative experiment specs ([`all_specs`]) through one
-//! memoized run cache: pass 1 collects the union of every spec's unique
-//! simulation points, which then execute exactly once each — fanned out
-//! over all hardware threads, or serially with `XLOOPS_BENCH_SERIAL=1`
-//! (byte-identical artifacts either way) — before pass 2 renders from the
-//! warm cache. Wall-clock timing per phase and per artifact, plus cache
-//! statistics, are printed at the end.
+//! One [`Scheduler`] sweep runs the points of every declarative
+//! experiment spec ([`all_specs`]): points shared between specs
+//! deduplicate by what they simulate, so each unique simulation executes
+//! exactly once — fanned out over all hardware threads, serially with
+//! `XLOOPS_BENCH_SERIAL=1`, or on worker processes with
+//! `XLOOPS_WORKERS=N` (byte-identical artifacts every way). Each spec
+//! then renders from its point results. Wall-clock timing of the sweep
+//! and of each render is printed at the end, with the simulated-point
+//! count.
 //!
 //! With `--store DIR` (or `XLOOPS_STORE=DIR`) the sweep goes through the
 //! durable result store: previously finished points are read from disk,
 //! only the rest simulate, and fresh results are written back — the
-//! artifacts are byte-identical either way. Without a store this binary
-//! behaves exactly as it always has.
+//! artifacts are byte-identical either way.
 
 use std::time::Instant;
 
 use xloops_bench::experiments::all_specs;
-use xloops_bench::manifest::{render_spec, render_with_runner, ExperimentSpec};
-use xloops_bench::store::run_specs_stored;
-use xloops_bench::{emit, ResultStore, Runner};
+use xloops_bench::manifest::{render_spec, PointResult};
+use xloops_bench::sched::{all_points, Scheduler};
+use xloops_bench::{emit, ResultStore};
 
 fn main() {
     let total = Instant::now();
@@ -47,108 +48,51 @@ fn main() {
         }
         None => ResultStore::from_env(),
     };
-    if let Some(store) = store {
-        run_stored(&specs, &store, total);
-        return;
-    }
 
-    let t = Instant::now();
-    let runner = Runner::collecting();
-    for spec in &specs {
-        let _ = render_with_runner(&runner, spec);
-    }
-    let collect_s = t.elapsed().as_secs_f64();
-
-    let t = Instant::now();
-    let info = runner.prefill();
-    let simulate_s = t.elapsed().as_secs_f64();
-
-    let mut timings = Vec::new();
-    for spec in &specs {
-        let t = Instant::now();
-        let report = render_with_runner(&runner, spec);
-        emit(&spec.name, &report);
-        timings.push((spec.name.clone(), t.elapsed().as_secs_f64()));
-    }
-
-    let stats = runner.cache_stats();
-    assert_eq!(
-        stats.sims as usize, info.unique_points,
-        "every unique (kernel, config, mode) point must simulate exactly once"
-    );
-    assert_eq!(stats.lookups, stats.hits, "the render pass must be fully cache-served");
-
-    println!("[time] collect jobs   {collect_s:8.3} s");
-    println!(
-        "[time] simulate       {simulate_s:8.3} s  ({} unique points, {} worker thread(s){})",
-        info.unique_points,
-        info.workers,
-        if info.serial { ", serial" } else { "" },
-    );
-    for (name, s) in &timings {
-        println!("[time] render {name:<8}{s:8.3} s");
-    }
-    println!("[time] total          {:8.3} s", total.elapsed().as_secs_f64());
-    println!(
-        "[cache] {} lookups, {} hits, {} simulations — each unique point simulated exactly once",
-        stats.lookups, stats.hits, stats.sims
-    );
-
-    // Quarantined points: every artifact above still rendered (with
-    // placeholder numbers at the sick points), but the run as a whole must
-    // fail loudly so CI catches it.
-    let failures = runner.failures();
-    if !failures.is_empty() {
-        report_failures(&failures);
-        std::process::exit(1);
-    }
-}
-
-/// The store-backed regeneration path: one shared store-consulting sweep
-/// over every spec, then the same per-artifact emit loop.
-fn run_stored(specs: &[ExperimentSpec], store: &ResultStore, total: Instant) {
     let options = xloops_sim::RunOptions::from_env();
     let t = Instant::now();
-    let swept = run_specs_stored(specs, &options, store);
+    let swept = Scheduler::new(options, store.as_ref()).run(&all_points(&specs));
     let simulate_s = t.elapsed().as_secs_f64();
 
-    for (spec, results) in specs.iter().zip(&swept.results) {
+    for (spec, outcomes) in specs.iter().zip(swept.outcomes) {
         let t = Instant::now();
-        emit(&spec.name, &render_spec(spec, results));
+        let results: Vec<PointResult> = outcomes.into_iter().map(|o| o.result).collect();
+        emit(&spec.name, &render_spec(spec, &results));
         println!("[time] render {:<8}{:8.3} s", spec.name, t.elapsed().as_secs_f64());
     }
 
-    let s = store.stats();
     println!(
         "[time] load+simulate  {simulate_s:8.3} s  ({} simulated point(s), {} worker thread(s))",
         swept.prefill.unique_points, swept.prefill.workers,
     );
-    println!(
-        "[store] {} hits, {} misses, {} bytes read, {} bytes written ({})",
-        s.hits,
-        s.misses,
-        s.bytes_read,
-        s.bytes_written,
-        store.dir().display(),
-    );
+    if let Some(store) = &store {
+        let s = store.stats();
+        println!(
+            "[store] {} hits, {} misses, {} bytes read, {} bytes written ({})",
+            s.hits,
+            s.misses,
+            s.bytes_read,
+            s.bytes_written,
+            store.dir().display(),
+        );
+    }
     println!("[time] total          {:8.3} s", total.elapsed().as_secs_f64());
 
+    // Quarantined points: every artifact above still rendered (with
+    // placeholder numbers at the sick points), but the run as a whole must
+    // fail loudly so CI catches it.
     if !swept.failures.is_empty() {
-        report_failures(&swept.failures);
+        eprintln!("[errors] {} simulation point(s) quarantined:", swept.failures.len());
+        for f in &swept.failures {
+            eprintln!(
+                "[errors]   {} on {:?} ({:?}{}): {}",
+                f.key.kernel,
+                f.key.config,
+                f.key.mode,
+                if f.key.gp_lowered { ", gp-lowered" } else { "" },
+                f.message
+            );
+        }
         std::process::exit(1);
-    }
-}
-
-fn report_failures(failures: &[xloops_bench::RunFailure]) {
-    eprintln!("[errors] {} simulation point(s) quarantined:", failures.len());
-    for f in failures {
-        eprintln!(
-            "[errors]   {} on {:?} ({:?}{}): {}",
-            f.key.kernel,
-            f.key.config,
-            f.key.mode,
-            if f.key.gp_lowered { ", gp-lowered" } else { "" },
-            f.message
-        );
     }
 }

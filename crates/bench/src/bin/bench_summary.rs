@@ -5,16 +5,14 @@
 //! engine (`mode: "functional"`, host MIPS) over the same kernels plus
 //! the scaled variants, and interval-sampled simulation on io+x
 //! (`sampled`: extrapolated vs full cycle counts, relative error, error
-//! bar); plus one full artifact regeneration (collect/simulate/render,
-//! nothing written to `results/`). Writes `BENCH_<date>.json` at the
-//! workspace root with per-point wall-clock, simulated cycles, and
+//! bar). Writes `BENCH_<date>.json` at the workspace root with
+//! per-point wall-clock, simulated cycles, and
 //! simulated-cycles-per-second. With `XLOOPS_BENCH_PROFILE=1` each
 //! simulation point also carries the per-phase host wall-time breakdown
-//! (`profile.gpp_ns` / `scan_ns` / `engine_ns` / `handoffs`). With
-//! `XLOOPS_STORE=DIR` the regeneration phase goes through the durable
-//! result store and the JSON gains a `store` section (hits, misses,
-//! bytes read/written; `null` without a store). The
-//! document is built on the shared deterministic JSON writer of
+//! (`profile.gpp_ns` / `scan_ns` / `engine_ns` / `handoffs`). Full
+//! artifact regeneration, cold and warm, is measured by `sweepbench`'s
+//! `regen_cold` / `regen_warm` workloads, not here. The document is
+//! built on the shared deterministic JSON writer of
 //! `xloops-stats` — the same encoder the CLI's `--stats json` output and
 //! the manifest shard files use. Future PRs compare these files
 //! numerically instead of prose in EXPERIMENTS.md.
@@ -26,10 +24,8 @@
 use std::path::PathBuf;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use xloops_bench::experiments::all_specs;
-use xloops_bench::manifest::{mode_tag, render_spec, render_with_runner};
-use xloops_bench::store::run_specs_stored;
-use xloops_bench::{run_kernel, run_kernel_with, ResultStore, Runner, StoreStats};
+use xloops_bench::manifest::mode_tag;
+use xloops_bench::{run_kernel, run_kernel_with};
 use xloops_func::{ArchState, FastForward};
 use xloops_kernels::{scaled, table2, Kernel};
 use xloops_mem::Memory;
@@ -165,51 +161,6 @@ fn main() {
         }
     }
 
-    // One full artifact regeneration, rendered to strings only: the
-    // `all` binary stays the sole writer of `results/`. Under
-    // `XLOOPS_STORE=DIR` the regeneration reads/writes the durable store,
-    // and the summary JSON's `store` section reports the traffic.
-    let regen_total = Instant::now();
-    let specs = all_specs();
-    let store = ResultStore::from_env();
-    let (unique_points, simulate_s, render_s, store_stats) = match &store {
-        Some(store) => {
-            let t = Instant::now();
-            let swept = run_specs_stored(&specs, &RunOptions::from_env(), store);
-            let simulate_s = t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            for (spec, results) in specs.iter().zip(&swept.results) {
-                let _ = render_spec(spec, results);
-            }
-            let render_s = t.elapsed().as_secs_f64();
-            for f in swept.failures {
-                let message = format!("regen {} ({:?}): {}", f.key.kernel, f.key.mode, f.message);
-                errors.push(error_doc(&message, f.sim.as_ref().map_or(1, |e| e.exit_code())));
-            }
-            (swept.prefill.unique_points, simulate_s, render_s, Some(store.stats()))
-        }
-        None => {
-            let runner = Runner::collecting();
-            for spec in &specs {
-                let _ = render_with_runner(&runner, spec);
-            }
-            let t = Instant::now();
-            let info = runner.prefill();
-            let simulate_s = t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            for spec in &specs {
-                let _ = render_with_runner(&runner, spec);
-            }
-            let render_s = t.elapsed().as_secs_f64();
-            for f in runner.failures() {
-                let message = format!("regen {} ({:?}): {}", f.key.kernel, f.key.mode, f.message);
-                errors.push(error_doc(&message, f.sim.as_ref().map_or(1, |e| e.exit_code())));
-            }
-            (info.unique_points, simulate_s, render_s, None)
-        }
-    };
-    let regen_s = regen_total.elapsed().as_secs_f64();
-
     let date = bench_date();
     let json = render_json(RenderInput {
         date: &date,
@@ -217,11 +168,6 @@ fn main() {
         functional: &functional,
         sampled: &sampled,
         errors: &errors,
-        unique_points,
-        simulate_s,
-        render_s,
-        regen_s,
-        store: store_stats,
     });
     let path = workspace_root().join(format!("BENCH_{date}.json"));
     std::fs::write(&path, &json).expect("write BENCH json");
@@ -239,7 +185,7 @@ fn main() {
     println!(
         "bench-summary: {} points, {total_cycles} simulated cycles in {total_wall:.3} s \
          ({:.1} M sim-cycles/s); functional {func_instrs} instrs in {func_wall:.3} s \
-         ({:.1} MIPS); {} sampled points; full regen {regen_s:.3} s -> {}",
+         ({:.1} MIPS); {} sampled points -> {}",
         points.len(),
         total_cycles as f64 / total_wall / 1e6,
         func_instrs as f64 / func_wall.max(1e-9) / 1e6,
@@ -294,27 +240,10 @@ struct RenderInput<'a> {
     functional: &'a [FuncPoint],
     sampled: &'a [SampledPoint],
     errors: &'a [JsonValue],
-    unique_points: usize,
-    simulate_s: f64,
-    render_s: f64,
-    regen_s: f64,
-    /// Durable-store traffic of the regen phase (`None` = no store).
-    store: Option<StoreStats>,
 }
 
 fn render_json(input: RenderInput<'_>) -> String {
-    let RenderInput {
-        date,
-        points,
-        functional,
-        sampled,
-        errors,
-        unique_points,
-        simulate_s,
-        render_s,
-        regen_s,
-        store,
-    } = input;
+    let RenderInput { date, points, functional, sampled, errors } = input;
     let total_wall: f64 = points.iter().map(|p| p.wall_s).sum();
     let total_cycles: u64 = points.iter().map(|p| p.sim_cycles).sum();
     // Per-kernel baseline for the functional speedup: the kernel's
@@ -432,16 +361,6 @@ fn render_json(input: RenderInput<'_>) -> String {
                 ),
             ]),
         ),
-        (
-            "full_regen",
-            JsonValue::object(vec![
-                ("unique_points", JsonValue::UInt(unique_points as u64)),
-                ("simulate_s", JsonValue::Float(r6(simulate_s))),
-                ("render_s", JsonValue::Float(r6(render_s))),
-                ("total_s", JsonValue::Float(r6(regen_s))),
-            ]),
-        ),
-        ("store", store.map_or(JsonValue::Null, |s| s.to_json_value())),
     ]);
     let mut s = doc.render_pretty();
     s.push('\n');

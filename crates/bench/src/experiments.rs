@@ -1,23 +1,21 @@
 //! One declarative [`ExperimentSpec`] per paper artifact.
 //!
 //! Each `*_spec()` constructor builds the artifact as pure data — points
-//! plus rendering description (see [`crate::manifest`]) — and the
-//! `*_report()` wrappers feed it to the generic
-//! [`render_with_runner`] driver, so every figure and table
-//! goes through one code path whether it runs locally, from a manifest
-//! file, or sharded across machines. The rendered text is byte-identical
-//! to the historical imperative reports.
+//! plus rendering description (see [`crate::manifest`]) — so every
+//! figure and table goes through one code path ([`crate::sched::Scheduler`]
+//! then [`crate::manifest::render_spec`]) whether it runs locally, from a
+//! manifest file, or sharded across machines. The rendered text is
+//! byte-identical to the historical imperative reports.
 
 use xloops_energy::{gpp_area_mm2, lpsu_area_mm2, lpsu_cycle_time_ns, scalar_cycle_time_ns};
 use xloops_kernels::{table2, table4};
 use xloops_lpsu::LpsuConfig;
 use xloops_sim::ExecMode;
 
+use crate::f2;
 use crate::manifest::{
-    render_with_runner, BarRow, Cell, EnergyPreset, ExperimentSpec, GppPreset, SectionBody,
-    SpecBuilder,
+    BarRow, Cell, EnergyPreset, ExperimentSpec, GppPreset, SectionBody, SpecBuilder,
 };
-use crate::{f2, Runner};
 
 /// The three GPP classes every cross-baseline artifact sweeps.
 const GPPS: [GppPreset; 3] = [GppPreset::Io, GppPreset::Ooo2, GppPreset::Ooo4];
@@ -431,84 +429,4 @@ pub fn all_specs() -> Vec<ExperimentSpec> {
 /// The spec named `name`, if it is one of the known artifacts.
 pub fn spec_by_name(name: &str) -> Option<ExperimentSpec> {
     all_specs().into_iter().find(|s| s.name == name)
-}
-
-// Thin imperative wrappers: each report is now `render_with_runner` over
-// the artifact's spec, preserving the historical entry points.
-
-/// Renders Table II (see [`table2_spec`]).
-pub fn table2_report(r: &Runner) -> String {
-    render_with_runner(r, &table2_spec())
-}
-
-/// Renders Figure 5 (see [`fig5_spec`]).
-pub fn fig5_report(r: &Runner) -> String {
-    render_with_runner(r, &fig5_spec())
-}
-
-/// Renders Figure 6 (see [`fig6_spec`]).
-pub fn fig6_report(r: &Runner) -> String {
-    render_with_runner(r, &fig6_spec())
-}
-
-/// Renders Figure 7 (see [`fig7_spec`]).
-pub fn fig7_report(r: &Runner) -> String {
-    render_with_runner(r, &fig7_spec())
-}
-
-/// Renders Figure 8 (see [`fig8_spec`]).
-pub fn fig8_report(r: &Runner) -> String {
-    render_with_runner(r, &fig8_spec())
-}
-
-/// Renders Figure 9 (see [`fig9_spec`]).
-pub fn fig9_report(r: &Runner) -> String {
-    render_with_runner(r, &fig9_spec())
-}
-
-/// Renders Table IV (see [`table4_spec`]).
-pub fn table4_report(r: &Runner) -> String {
-    render_with_runner(r, &table4_spec())
-}
-
-/// Renders Table V (see [`table5_spec`]).
-pub fn table5_report(r: &Runner) -> String {
-    render_with_runner(r, &table5_spec())
-}
-
-/// Renders Figure 10 (see [`fig10_spec`]).
-pub fn fig10_report(r: &Runner) -> String {
-    render_with_runner(r, &fig10_spec())
-}
-
-/// Renders the ablation study (see [`ablation_spec`]).
-pub fn ablation_report(r: &Runner) -> String {
-    render_with_runner(r, &ablation_spec())
-}
-
-/// A report generator: renders one artifact from (cached) run results.
-pub type ReportFn = fn(&Runner) -> String;
-
-/// `(artifact name, report function)` for every experiment, in emission
-/// order. The `all` binary iterates this twice: once collecting jobs, once
-/// rendering (with per-artifact timing) from the warm cache.
-pub fn report_fns() -> Vec<(&'static str, ReportFn)> {
-    vec![
-        ("table2", table2_report),
-        ("fig5", fig5_report),
-        ("fig6", fig6_report),
-        ("fig7", fig7_report),
-        ("fig8", fig8_report),
-        ("fig9", fig9_report),
-        ("table4", table4_report),
-        ("table5", table5_report),
-        ("fig10", fig10_report),
-        ("ablation", ablation_report),
-    ]
-}
-
-/// Convenience bundle: `(artifact name, rendered report)` for every
-/// experiment, sharing one run cache.
-pub fn all_reports(r: &Runner) -> Vec<(&'static str, String)> {
-    report_fns().into_iter().map(|(name, f)| (name, f(r))).collect()
 }

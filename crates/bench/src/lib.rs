@@ -42,7 +42,7 @@ use xloops_asm::{lower_gp, Program};
 use xloops_kernels::Kernel;
 use xloops_sim::{ExecMode, RunOptions, SimError, Supervisor, System, SystemConfig, SystemStats};
 
-pub use runner::{render_artifact, run_reports, RunFailure, Runner};
+pub use runner::{RunFailure, Runner};
 pub use store::{ResultStore, StoreStats};
 
 /// Result of one kernel execution.
@@ -64,8 +64,8 @@ pub struct RunResult {
 /// `what` labels panics (`"run"` / `"baseline"`). The knobs of `options`
 /// consulted here are [`RunOptions::sample`], [`RunOptions::supervisor`],
 /// and [`RunOptions::profile`]; the executor knobs belong to the
-/// [`runner::Runner`]. Shared by the direct entry
-/// points below and the memoizing runner.
+/// [`sched::Scheduler`]. Shared by the direct entry points below and
+/// [`runner::execute`].
 pub(crate) fn run_program(
     kernel: &Kernel,
     program: &Program,
@@ -130,23 +130,23 @@ pub fn run_kernel_with(
 /// `xloop` → branch and `xi` → add, executed traditionally. All speedups
 /// in the paper are normalized to this binary on the matching GPP.
 pub fn run_gp_baseline(kernel: &Kernel, config: SystemConfig) -> RunResult {
+    let options = RunOptions::from_env();
+    let mode = ExecMode::Traditional;
+    let sim = runner::Simulation::new(kernel.name, config, mode, true, None, &options);
     let gp = lower_gp(&kernel.program);
-    run_program(
-        kernel,
-        &gp,
-        SystemConfig { lpsu: None, ..config },
-        ExecMode::Traditional,
-        &RunOptions::from_env(),
-        "baseline",
-    )
+    run_program(kernel, &gp, sim.config, sim.key.mode, &options, "baseline")
 }
 
-/// Drives one artifact binary end to end: two-pass render of `spec`
-/// (collect, parallel prefill, cache-served render), then print + write
-/// `results/<name>.txt`.
+/// Drives one artifact binary end to end: one storeless, in-process
+/// [`sched::Scheduler`] sweep over `spec`'s points, then render, print,
+/// and write `results/<name>.txt`. In-process always: these binaries
+/// have no `worker` subcommand, so they cannot serve as their own pool.
 pub fn emit_spec(spec: &manifest::ExperimentSpec) {
-    let report = render_artifact(|r| manifest::render_with_runner(r, spec));
-    emit(&spec.name, &report);
+    let mut swept = sched::Scheduler::new(RunOptions::from_env(), None)
+        .with_pool(None)
+        .run(&sched::all_points(std::slice::from_ref(spec)));
+    let results: Vec<_> = swept.outcomes.remove(0).into_iter().map(|o| o.result).collect();
+    emit(&spec.name, &manifest::render_spec(spec, &results));
 }
 
 /// `baseline / measured` — >1 means faster than the baseline.

@@ -4,10 +4,10 @@
 //! code: a deduplicated list of simulation points (kernel, system
 //! configuration, execution mode, GP-lowering flag) plus a rendering
 //! description (captions, section structure, and [`Cell`] formulas that
-//! reference points by index). One generic driver pair —
-//! [`run_spec`] / [`render_spec`] — replaces the ten imperative report
-//! functions; the `src/bin/*` wrappers now just construct a spec and hand
-//! it over, and the rendered text is byte-identical to the historical
+//! reference points by index). The scheduler runs a spec's points and
+//! one generic renderer, [`render_spec`], turns the results into the
+//! artifact; the `src/bin/*` wrappers just construct a spec and hand it
+//! over, and the rendered text is byte-identical to the historical
 //! `results/*.txt` files.
 //!
 //! Because a spec is data, it travels: [`ExperimentSpec::to_json`] /
@@ -35,7 +35,7 @@ use xloops_lpsu::LpsuConfig;
 use xloops_sim::{ExecMode, RunOptions, SampleSpec, SystemConfig};
 use xloops_stats::{binary, BinaryError, JsonError, JsonValue, StatSet, StatValue};
 
-use crate::{f2, RunResult, Runner, TextTable};
+use crate::{f2, RunResult, TextTable};
 
 // ---------------------------------------------------------------------------
 // Data model
@@ -328,7 +328,7 @@ impl SpecBuilder {
 
     /// Registers (or finds) a GP-ISA baseline point: no LPSU, lowered
     /// program, traditional mode — the same normalization
-    /// [`Runner::baseline`] applies before keying the cache.
+    /// [`crate::runner::Simulation::new`] applies before keying a simulation.
     pub fn baseline(&mut self, kernel: &str, gpp: GppPreset, energy: EnergyPreset) -> usize {
         self.intern(SpecPoint {
             kernel: kernel.to_string(),
@@ -990,39 +990,6 @@ impl PointResult {
     }
 }
 
-/// Results of running a spec: one [`PointResult`] per spec point, in
-/// point order.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SpecResult {
-    /// Per-point results, parallel to [`ExperimentSpec::points`].
-    pub results: Vec<PointResult>,
-}
-
-pub(crate) fn request_point(r: &Runner, p: &SpecPoint) -> RunResult {
-    let kernel =
-        by_name(&p.kernel).unwrap_or_else(|| panic!("spec references unknown kernel {}", p.kernel));
-    let config = p.config.resolve();
-    if p.gp_lowered {
-        r.baseline(kernel, config)
-    } else {
-        r.run_sampled(kernel, config, p.mode, p.sampling)
-    }
-}
-
-/// Requests every point of `spec` through the memoizing runner. Under the
-/// two-pass protocol this is called once collecting (placeholder results)
-/// and once live (cache-served); either way the point set requested is a
-/// pure function of the spec.
-pub fn run_spec(r: &Runner, spec: &ExperimentSpec) -> SpecResult {
-    SpecResult {
-        results: spec
-            .points
-            .iter()
-            .map(|p| PointResult::from_run(&request_point(r, p), p.config.is_ooo()))
-            .collect(),
-    }
-}
-
 /// Dynamic instruction counts in the paper's notation (`3.1M` / `416K`).
 fn format_insns(n: u64) -> String {
     if n >= 1_000_000 {
@@ -1060,9 +1027,9 @@ fn eval_cell(cell: &Cell, results: &[PointResult]) -> String {
     }
 }
 
-/// Renders a spec against its point results; with results from
-/// [`run_spec`] on a live runner, the output is byte-identical to the
-/// historical imperative reports.
+/// Renders a spec against its point results (one per spec point, in
+/// point order — e.g. a [`crate::sched::Scheduler`] sweep's outcomes);
+/// the output is byte-identical to the historical imperative reports.
 pub fn render_spec(spec: &ExperimentSpec, results: &[PointResult]) -> String {
     let mut out = spec.caption.clone();
     for section in &spec.sections {
@@ -1088,13 +1055,6 @@ pub fn render_spec(spec: &ExperimentSpec, results: &[PointResult]) -> String {
         out.push_str(&section.suffix);
     }
     out
-}
-
-/// [`run_spec`] + [`render_spec`] in one call: the generic driver every
-/// artifact binary uses inside the two-pass protocol.
-pub fn render_with_runner(r: &Runner, spec: &ExperimentSpec) -> String {
-    let result = run_spec(r, spec);
-    render_spec(spec, &result.results)
 }
 
 // ---------------------------------------------------------------------------
@@ -1488,10 +1448,12 @@ mod tests {
     fn sharded_run_merges_to_the_unsharded_render() {
         let spec = tiny_spec();
         let unsharded = {
-            let runner = Runner::collecting_with(RunOptions::default());
-            let _ = run_spec(&runner, &spec);
-            runner.prefill();
-            render_with_runner(&runner, &spec)
+            let swept = crate::sched::Scheduler::new(RunOptions::default(), None)
+                .with_pool(None)
+                .run(&[(&spec, (0..spec.points.len()).collect())]);
+            let results: Vec<PointResult> =
+                swept.outcomes[0].iter().map(|o| o.result.clone()).collect();
+            render_spec(&spec, &results)
         };
         let s0 = run_shard(&spec, 0, 2, RunOptions::default());
         let s1 = run_shard(&spec, 1, 2, RunOptions::default());

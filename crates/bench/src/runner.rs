@@ -1,69 +1,49 @@
-//! Memoized run-cache and deterministic parallel executor.
+//! One simulation point, one execution path.
 //!
 //! The paper's artifacts overlap heavily: Table II, Figures 5–8, and the
-//! ablation all re-simulate the same (kernel, system config, exec mode)
-//! points. A [`Runner`] memoizes [`RunResult`]s under a canonical
-//! [`RunKey`], so each unique simulation point executes exactly once no
-//! matter how many reports ask for it.
+//! ablation all ask for the same (kernel, system config, exec mode)
+//! points. A point is named by what it simulates — its [`RunKey`] —
+//! and each name is built in exactly one place:
 //!
-//! Reports run in two passes (see [`run_reports`]):
+//! - [`Simulation::new`] is the one baseline normalization (a GP-ISA
+//!   baseline strips the LPSU, forces [`ExecMode::Traditional`], and runs
+//!   under the sweep-wide sampling spec);
+//! - [`Simulation::of_point`] is the one [`SpecPoint`] → [`RunKey`]
+//!   mapping, which the scheduler dedupes every route by;
+//! - [`execute`] is the one panic firewall: a point that panics (bad
+//!   kernel, simulator bug, exceeded cycle budget under
+//!   `XLOOPS_CYCLE_BUDGET`) or surfaces a typed [`SimError`] comes back as
+//!   a placeholder [`RunResult`] carrying the diagnosis in
+//!   [`RunResult::error`], plus the typed error when there is one — one
+//!   sick point cannot take down a whole artifact regeneration.
 //!
-//! 1. **Collect** — every report renders once against a collecting runner
-//!    that records the deduplicated job list and returns placeholder
-//!    results. Report control flow never branches on simulated values when
-//!    choosing *which* runs to request, so the collected job set is exactly
-//!    the set the real render needs.
-//! 2. **Execute + render** — the unique jobs are simulated (fanned out
-//!    over [`std::thread::available_parallelism`] workers on the
-//!    work-stealing pool in [`crate::sched`], or serially with
-//!    `XLOOPS_BENCH_SERIAL=1`), then every report renders again from the
-//!    warm cache.
+//! The scheduler's in-process fan-out ([`crate::sched`]), the worker's
+//! job handler ([`crate::worker`]), and the live [`Runner`] memo all call
+//! [`execute`]. Each execution builds a fresh [`xloops_sim::System`] and
+//! the simulator is deterministic, so results are independent of which
+//! route, thread, or process ran the point.
 //!
-//! Each job builds a fresh [`xloops_sim::System`] and the simulator is deterministic,
-//! so results are independent of worker scheduling: parallel and serial
-//! runs produce byte-identical artifacts.
-//!
-//! Every execution is hardened: a panicking simulation point (bad kernel,
-//! simulator bug, exceeded cycle budget under `XLOOPS_CYCLE_BUDGET`) is
-//! caught with [`std::panic::catch_unwind`], quarantined into the runner's
-//! failure list, and replaced by a placeholder [`RunResult`] carrying the
-//! diagnosis in [`RunResult::error`] — one sick point cannot take down a
-//! whole artifact regeneration, and `--bin all` reports the quarantined
-//! set (and exits nonzero) instead of dying mid-render.
-//!
-//! The memo cache is per-process by design; durability is layered on
-//! top, not in. The drivers in [`crate::store`] consult a
-//! [`crate::ResultStore`] at collect time and request only the missed
-//! points here, so the runner stays a pure in-memory dedup engine and the
-//! on-disk format never learns about [`RunKey`]s (store entries are keyed
-//! by manifest fingerprint + point index + options instead).
-//!
-//! A runner carries a [`RunOptions`] value fixing its supervision policy
-//! and executor knobs (serial fill, worker count, profiling). The
-//! convenience constructors [`Runner::new`] / [`Runner::collecting`] read
-//! [`RunOptions::from_env`] once at construction; [`Runner::with_options`]
-//! / [`Runner::collecting_with`] take the options explicitly, which is how
-//! the manifest sweep driver records exactly what produced a shard.
+//! A [`Runner`] is a lazy in-memory memo over [`execute`] for callers that
+//! request points one at a time (benchmarks, tests): misses simulate
+//! inline and are cached under their [`RunKey`]. Its [`RunOptions`] fix
+//! the supervision policy, the default sampling spec, and profiling.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use xloops_asm::{lower_gp, Program};
+use xloops_asm::lower_gp;
 use xloops_kernels::{by_name, Kernel};
 use xloops_sim::{
     ConfigKey, ExecMode, RunOptions, SampleSpec, SimError, SystemConfig, SystemStats,
 };
 
+use crate::manifest::SpecPoint;
 use crate::{try_run_program, RunResult};
 
-/// Canonical identity of one simulation point.
-///
-/// Baseline runs are normalized before keying: `run_gp_baseline` strips
-/// the LPSU and forces [`ExecMode::Traditional`], so a baseline requested
-/// against `ooo/2+x` and one requested against plain `ooo/2` share a key
-/// (and a simulation).
+/// Canonical identity of one simulation point: two requests with equal
+/// keys simulate the same thing, so every route simulates them once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RunKey {
     /// Kernel name (resolvable via [`xloops_kernels::by_name`]).
@@ -80,23 +60,52 @@ pub struct RunKey {
     pub sample: Option<SampleSpec>,
 }
 
-/// One pending simulation: its key plus the full config (the key's energy
-/// fingerprint is not invertible, so the table rides along).
+/// One simulation to execute: its key plus the full config (the key's
+/// energy fingerprint is not invertible, so the table rides along).
 #[derive(Clone, Copy, Debug)]
-struct Job {
-    key: RunKey,
-    config: SystemConfig,
+pub struct Simulation {
+    /// What the simulation computes.
+    pub key: RunKey,
+    /// The normalized system configuration it runs on.
+    pub config: SystemConfig,
 }
 
-/// Cache traffic counters (all monotonic).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Cache requests while live (collect-phase requests are not counted).
-    pub lookups: u64,
-    /// Requests served from the cache.
-    pub hits: u64,
-    /// Simulations actually executed (prefill + live misses).
-    pub sims: u64,
+impl Simulation {
+    /// Names a simulation, normalizing baselines exactly as they execute:
+    /// a GP-lowered run has no LPSU, runs traditionally, and uses the
+    /// sweep-wide [`RunOptions::sample`] (per-point sampling applies to
+    /// kernel runs only). So a baseline requested against `ooo/2+x` and
+    /// one requested against plain `ooo/2` share a key. Other runs take
+    /// `sample`, falling back to the sweep-wide spec.
+    pub fn new(
+        kernel: &'static str,
+        config: SystemConfig,
+        mode: ExecMode,
+        gp_lowered: bool,
+        sample: Option<SampleSpec>,
+        options: &RunOptions,
+    ) -> Simulation {
+        let (config, mode, sample) = if gp_lowered {
+            (SystemConfig { lpsu: None, ..config }, ExecMode::Traditional, options.sample)
+        } else {
+            (config, mode, sample.or(options.sample))
+        };
+        Simulation {
+            key: RunKey { kernel, config: config.key(), mode, gp_lowered, sample },
+            config,
+        }
+    }
+
+    /// The simulation a spec point names under `options`. A kernel name
+    /// the spec invented (parsed specs are validated, so only code can
+    /// build one) keys under that name, leaked so the key stays `Copy`;
+    /// [`execute`] quarantines it rather than crashing — the failure is
+    /// the report.
+    pub fn of_point(p: &SpecPoint, options: &RunOptions) -> Simulation {
+        let kernel = by_name(&p.kernel)
+            .map_or_else(|| &*Box::leak(p.kernel.clone().into_boxed_str()), |k| k.name);
+        Simulation::new(kernel, p.config.resolve(), p.mode, p.gp_lowered, p.sampling, options)
+    }
 }
 
 /// One quarantined simulation point: its identity plus the panic message
@@ -113,29 +122,65 @@ pub struct RunFailure {
     pub sim: Option<SimError>,
 }
 
-/// Result of [`Runner::prefill`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PrefillInfo {
-    /// Unique simulation points executed.
-    pub unique_points: usize,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Whether the serial escape hatch was active.
-    pub serial: bool,
+/// Simulates one point on a fresh system behind the panic firewall. The
+/// key's effective sampling spec replaces the one in `options`, so the
+/// simulator sees exactly what the key promises. A point that panics or
+/// fails yields a placeholder result carrying the diagnosis in
+/// [`RunResult::error`]; a typed failure also returns its [`SimError`].
+pub fn execute(sim: &Simulation, options: &RunOptions) -> (RunResult, Option<SimError>) {
+    let (message, error) = match catch_unwind(AssertUnwindSafe(|| try_execute(sim, options))) {
+        Ok(Ok(result)) => return (result, None),
+        Ok(Err(e)) => {
+            let what = if sim.key.gp_lowered { "baseline" } else { "run" };
+            (format!("{} {what} on {}: {e}", sim.key.kernel, sim.config.name()), Some(e))
+        }
+        Err(payload) => {
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            (message, None)
+        }
+    };
+    let placeholder = RunResult {
+        cycles: 1,
+        energy_nj: 1.0,
+        stats: SystemStats::default(),
+        error: Some(message),
+    };
+    (placeholder, error)
 }
 
-/// Memoizing simulation runner. See the module docs for the two-pass
-/// protocol; a runner built with [`Runner::new`] can also be used directly
-/// as a lazy memo cache (misses simulate inline).
+fn try_execute(sim: &Simulation, options: &RunOptions) -> Result<RunResult, SimError> {
+    let key = &sim.key;
+    let kernel = by_name(key.kernel)
+        .unwrap_or_else(|| panic!("spec references unknown kernel {}", key.kernel));
+    let options = RunOptions { sample: key.sample, ..options.clone() };
+    if key.gp_lowered {
+        let program = lower_gp(&kernel.program);
+        try_run_program(kernel, &program, sim.config, key.mode, &options, "baseline")
+    } else {
+        try_run_program(kernel, &kernel.program, sim.config, key.mode, &options, "run")
+    }
+}
+
+/// Cache traffic counters (all monotonic).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Requests made.
+    pub lookups: u64,
+    /// Requests served from the cache.
+    pub hits: u64,
+    /// Simulations actually executed.
+    pub sims: u64,
+}
+
+/// Lazy memoizing runner: requests are served from the cache, misses run
+/// through [`execute`] inline and are cached under their [`RunKey`].
 pub struct Runner {
     options: RunOptions,
-    collecting: AtomicBool,
-    pending: Mutex<(Vec<Job>, HashSet<RunKey>)>,
     cache: Mutex<HashMap<RunKey, RunResult>>,
-    /// GP-lowered programs, cached per kernel (all baseline configs of a
-    /// kernel share one lowering).
-    gp_programs: Mutex<HashMap<&'static str, Arc<Program>>>,
-    failures: Mutex<Vec<RunFailure>>,
     lookups: AtomicU64,
     hits: AtomicU64,
     sims: AtomicU64,
@@ -148,16 +193,11 @@ impl Default for Runner {
 }
 
 impl Runner {
-    /// A live runner with explicit options: requests are served from the
-    /// cache, misses simulate inline and are memoized.
+    /// A runner with explicit options.
     pub fn with_options(options: RunOptions) -> Runner {
         Runner {
             options,
-            collecting: AtomicBool::new(false),
-            pending: Mutex::new((Vec::new(), HashSet::new())),
             cache: Mutex::new(HashMap::new()),
-            gp_programs: Mutex::new(HashMap::new()),
-            failures: Mutex::new(Vec::new()),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             sims: AtomicU64::new(0),
@@ -167,24 +207,6 @@ impl Runner {
     /// [`Runner::with_options`] with options read from the environment.
     pub fn new() -> Runner {
         Runner::with_options(RunOptions::from_env())
-    }
-
-    /// A collecting runner with explicit options: requests record jobs and
-    /// return placeholders until [`Runner::prefill`] flips it live.
-    pub fn collecting_with(options: RunOptions) -> Runner {
-        let r = Runner::with_options(options);
-        r.collecting.store(true, Ordering::Relaxed);
-        r
-    }
-
-    /// [`Runner::collecting_with`] with options read from the environment.
-    pub fn collecting() -> Runner {
-        Runner::collecting_with(RunOptions::from_env())
-    }
-
-    /// The options this runner was built with.
-    pub fn options(&self) -> &RunOptions {
-        &self.options
     }
 
     /// Requests a kernel run (memoized [`crate::run_kernel`]).
@@ -203,190 +225,25 @@ impl Runner {
         mode: ExecMode,
         sample: Option<SampleSpec>,
     ) -> RunResult {
-        let sample = sample.or(self.options.sample);
-        let key =
-            RunKey { kernel: kernel.name, config: config.key(), mode, gp_lowered: false, sample };
-        self.request(Job { key, config })
+        self.request(Simulation::new(kernel.name, config, mode, false, sample, &self.options))
     }
 
     /// Requests a GP-ISA baseline run (memoized [`crate::run_gp_baseline`]).
     pub fn baseline(&self, kernel: &Kernel, config: SystemConfig) -> RunResult {
-        // Normalize exactly as run_gp_baseline executes: no LPSU, lowered
-        // program, traditional mode.
-        let config = SystemConfig { lpsu: None, ..config };
-        let key = RunKey {
-            kernel: kernel.name,
-            config: config.key(),
-            mode: ExecMode::Traditional,
-            gp_lowered: true,
-            sample: self.options.sample,
-        };
-        self.request(Job { key, config })
+        let mode = ExecMode::Traditional;
+        self.request(Simulation::new(kernel.name, config, mode, true, None, &self.options))
     }
 
-    fn request(&self, job: Job) -> RunResult {
-        if self.collecting.load(Ordering::Relaxed) {
-            let (jobs, seen) = &mut *self.pending.lock().unwrap();
-            if seen.insert(job.key) {
-                jobs.push(job);
-            }
-            // Placeholder; reports guard divisions, and no report chooses
-            // *which* runs to request based on simulated values.
-            return RunResult {
-                cycles: 1,
-                energy_nj: 1.0,
-                stats: SystemStats::default(),
-                error: None,
-            };
-        }
+    fn request(&self, sim: Simulation) -> RunResult {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(hit) = self.cache.lock().unwrap().get(&job.key) {
+        if let Some(hit) = self.cache.lock().unwrap().get(&sim.key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
-        let result = self.execute_caught(&job);
+        let (result, _) = execute(&sim, &self.options);
         self.sims.fetch_add(1, Ordering::Relaxed);
-        self.cache.lock().unwrap().insert(job.key, result.clone());
+        self.cache.lock().unwrap().insert(sim.key, result.clone());
         result
-    }
-
-    /// [`Runner::try_execute`] behind a panic firewall: a point that
-    /// panics — or surfaces a typed [`SimError`] — is quarantined into the
-    /// failure list and yields a placeholder result carrying the
-    /// diagnosis, so the rest of the job list still runs. A typed error
-    /// keeps its class on the [`RunFailure`]; the diagnosis message is the
-    /// same line the panic path has always produced for it.
-    fn execute_caught(&self, job: &Job) -> RunResult {
-        let (message, sim) = match catch_unwind(AssertUnwindSafe(|| self.try_execute(job))) {
-            Ok(Ok(result)) => return result,
-            Ok(Err(e)) => {
-                let what = if job.key.gp_lowered { "baseline" } else { "run" };
-                (format!("{} {what} on {}: {e}", job.key.kernel, job.config.name()), Some(e))
-            }
-            Err(payload) => {
-                let message = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                (message, None)
-            }
-        };
-        self.failures.lock().unwrap().push(RunFailure {
-            key: job.key,
-            message: message.clone(),
-            sim,
-        });
-        RunResult { cycles: 1, energy_nj: 1.0, stats: SystemStats::default(), error: Some(message) }
-    }
-
-    /// Simulates one job on a fresh system, surfacing simulation failures
-    /// as the typed [`SimError`]. The key's effective sampling spec
-    /// (per-point override already folded in) replaces the runner-wide
-    /// one, so `run_program` sees exactly what the key promises.
-    fn try_execute(&self, job: &Job) -> Result<RunResult, SimError> {
-        let kernel = by_name(job.key.kernel)
-            .unwrap_or_else(|| panic!("unknown kernel in run cache: {}", job.key.kernel));
-        let options = RunOptions { sample: job.key.sample, ..self.options.clone() };
-        if job.key.gp_lowered {
-            let program = self.gp_program(kernel);
-            try_run_program(
-                kernel,
-                &program,
-                job.config,
-                ExecMode::Traditional,
-                &options,
-                "baseline",
-            )
-        } else {
-            try_run_program(kernel, &kernel.program, job.config, job.key.mode, &options, "run")
-        }
-    }
-
-    /// The kernel's GP-lowered program, lowered at most once per kernel.
-    fn gp_program(&self, kernel: &Kernel) -> Arc<Program> {
-        let mut progs = self.gp_programs.lock().unwrap();
-        Arc::clone(progs.entry(kernel.name).or_insert_with(|| Arc::new(lower_gp(&kernel.program))))
-    }
-
-    /// Executes every collected job exactly once and flips the runner
-    /// live. Jobs fan out over worker threads unless the runner's options
-    /// say [`RunOptions::serial`] (or only one hardware thread is
-    /// available); either way the cache ends up identical, because each
-    /// job simulates a fresh deterministic system.
-    pub fn prefill(&self) -> PrefillInfo {
-        let workers = if self.options.serial {
-            1
-        } else if let Some(n) = self.options.threads {
-            n
-        } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        };
-        let mut info = self.prefill_with(workers);
-        info.serial = self.options.serial;
-        info
-    }
-
-    /// [`Runner::prefill`] with an explicit worker-thread count (ignores
-    /// the environment). Exposed so determinism tests can pit a parallel
-    /// fill against a serial one directly. The fan-out itself lives in
-    /// [`crate::sched::run_jobs`] — the one worker pool in the workspace —
-    /// this method only supplies the per-job closure (execute behind the
-    /// panic firewall, time under `--profile`) and folds the results into
-    /// the cache.
-    pub fn prefill_with(&self, workers: usize) -> PrefillInfo {
-        let jobs = {
-            let (jobs, _) = &mut *self.pending.lock().unwrap();
-            std::mem::take(jobs)
-        };
-        self.collecting.store(false, Ordering::Relaxed);
-        let workers = workers.min(jobs.len().max(1));
-
-        // Wall-clock profiling is only meaningful serially (parallel
-        // timings measure contention, not the simulator).
-        let profile = self.options.profile && workers <= 1;
-        let timings = Mutex::new(Vec::new());
-        let results = crate::sched::run_jobs(&jobs, workers, |_, job| {
-            let t = std::time::Instant::now();
-            let result = self.execute_caught(job);
-            if profile {
-                timings.lock().unwrap().push((t.elapsed(), job.key));
-            }
-            self.sims.fetch_add(1, Ordering::Relaxed);
-            result
-        });
-        let mut cache = self.cache.lock().unwrap();
-        for (job, result) in jobs.iter().zip(results) {
-            cache.insert(job.key, result);
-        }
-        drop(cache);
-
-        if profile {
-            let mut timings = timings.into_inner().unwrap();
-            timings.sort_by_key(|&(d, _)| std::cmp::Reverse(d));
-            eprintln!("[profile] slowest simulation points:");
-            for (d, key) in timings.iter().take(20) {
-                eprintln!(
-                    "[profile] {:8.1} ms  {} {:?} gp={}",
-                    d.as_secs_f64() * 1e3,
-                    key.kernel,
-                    key.mode,
-                    key.gp_lowered,
-                );
-            }
-        }
-
-        PrefillInfo { unique_points: jobs.len(), workers, serial: false }
-    }
-
-    /// Number of distinct keys currently cached.
-    pub fn cached_points(&self) -> usize {
-        self.cache.lock().unwrap().len()
-    }
-
-    /// The quarantined simulation points (empty on a healthy run).
-    pub fn failures(&self) -> Vec<RunFailure> {
-        self.failures.lock().unwrap().clone()
     }
 
     /// Snapshot of the traffic counters.
@@ -399,26 +256,10 @@ impl Runner {
     }
 }
 
-/// Runs a report generator with the full two-pass protocol: collect the
-/// job set, execute each unique point exactly once (in parallel unless
-/// `XLOOPS_BENCH_SERIAL=1`), then render from the warm cache. Returns the
-/// rendered output and the runner (for cache statistics).
-pub fn run_reports<R>(f: impl Fn(&Runner) -> R) -> (R, Runner, PrefillInfo) {
-    let runner = Runner::collecting();
-    let _ = f(&runner);
-    let info = runner.prefill();
-    let out = f(&runner);
-    (out, runner, info)
-}
-
-/// [`run_reports`] for a single artifact binary: just the rendered text.
-pub fn render_artifact(f: impl Fn(&Runner) -> String) -> String {
-    run_reports(f).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use xloops_lpsu::LpsuConfig;
 
     #[test]
@@ -457,6 +298,34 @@ mod tests {
         assert_eq!(with_lpsu.cycles, without.cycles);
         let s = runner.cache_stats();
         assert_eq!((s.lookups, s.hits, s.sims), (2, 1, 1));
+    }
+
+    #[test]
+    fn spec_points_and_runner_requests_share_one_key() {
+        // A spec baseline point and the runner's baseline request name the
+        // same simulation, whatever LPSU or sampling the point carries.
+        let options = RunOptions::default();
+        let mut p = SpecPoint {
+            kernel: "huffman-ua".into(),
+            config: crate::manifest::ConfigSpec {
+                gpp: crate::manifest::GppPreset::Io,
+                lpsu: None,
+                energy: Default::default(),
+            },
+            mode: ExecMode::Traditional,
+            gp_lowered: true,
+            sampling: None,
+        };
+        let io_x = SystemConfig::io_x();
+        let direct =
+            Simulation::new("huffman-ua", io_x, ExecMode::Specialized, true, None, &options);
+        assert_eq!(Simulation::of_point(&p, &options).key, direct.key);
+        p.config.lpsu = Some(LpsuConfig::default4());
+        p.sampling = Some(SampleSpec::new(500, 100, 500).unwrap());
+        assert_eq!(Simulation::of_point(&p, &options).key, direct.key);
+        // A kernel run keeps its own sampling spec.
+        p.gp_lowered = false;
+        assert_eq!(Simulation::of_point(&p, &options).key.sample, p.sampling);
     }
 
     #[test]
@@ -552,89 +421,26 @@ mod tests {
 
     #[test]
     fn panicking_point_is_quarantined_not_fatal() {
-        // An unknown kernel name panics inside `execute`; the hardened
-        // executor must quarantine it instead of unwinding the harness.
+        // An unknown kernel name panics inside `execute`; the firewall must
+        // quarantine it instead of unwinding the harness.
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // quiet the expected panic
-        let runner = Runner::new();
-        let key = RunKey {
-            kernel: "no-such-kernel",
-            config: SystemConfig::io().key(),
+        let p = SpecPoint {
+            kernel: "no-such-kernel".into(),
+            config: crate::manifest::ConfigSpec {
+                gpp: crate::manifest::GppPreset::Io,
+                lpsu: None,
+                energy: Default::default(),
+            },
             mode: ExecMode::Traditional,
             gp_lowered: false,
-            sample: None,
+            sampling: None,
         };
-        let r = runner.execute_caught(&Job { key, config: SystemConfig::io() });
+        let options = RunOptions::default();
+        let (r, typed) = execute(&Simulation::of_point(&p, &options), &options);
         std::panic::set_hook(hook);
-        assert!(r.error.as_deref().is_some_and(|m| m.contains("no-such-kernel")), "{r:?}");
-        let failures = runner.failures();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].key, key);
-        assert!(failures[0].message.contains("no-such-kernel"));
-    }
-
-    #[test]
-    fn parallel_and_serial_fills_render_byte_identical_reports() {
-        // A miniature multi-config report over three kernels, exercising
-        // baselines, both LPSU modes, and a design-space variant.
-        let report = |r: &Runner| {
-            let mut out = String::new();
-            for name in ["rgb2cmyk-uc", "dither-or", "ksack-sm-om"] {
-                let k = by_name(name).expect("kernel exists");
-                let base = r.baseline(k, SystemConfig::ooo2());
-                let s = r.run(k, SystemConfig::ooo2_x(), ExecMode::Specialized);
-                let a = r.run(k, SystemConfig::ooo2_x(), ExecMode::Adaptive);
-                let x8 = SystemConfig::ooo2_x().with_lpsu(LpsuConfig::default4().with_lanes(8));
-                let w = r.run(k, x8, ExecMode::Specialized);
-                out.push_str(&format!(
-                    "{name} {} {} {} {} {:.3}\n",
-                    base.cycles, s.cycles, a.cycles, w.cycles, s.energy_nj
-                ));
-            }
-            out
-        };
-
-        let fill = |workers: usize| {
-            let runner = Runner::collecting();
-            let _ = report(&runner);
-            let info = runner.prefill_with(workers);
-            (report(&runner), info)
-        };
-        let (serial_text, serial_info) = fill(1);
-        let (parallel_text, parallel_info) = fill(4);
-        assert_eq!(serial_info.workers, 1);
-        assert_eq!(parallel_info.workers, 4);
-        assert_eq!(serial_info.unique_points, parallel_info.unique_points);
-        assert_eq!(serial_text, parallel_text, "parallel fill must be byte-identical to serial");
-    }
-
-    #[test]
-    fn two_pass_protocol_simulates_each_point_once() {
-        let k = by_name("huffman-ua").expect("kernel exists");
-        let report = |r: &Runner| {
-            // Ask for the same points repeatedly, like overlapping reports.
-            let base = r.baseline(k, SystemConfig::io());
-            let s1 = r.run(k, SystemConfig::io_x(), ExecMode::Specialized);
-            let s2 = r.run(k, SystemConfig::io_x(), ExecMode::Specialized);
-            let base2 = r.baseline(k, SystemConfig::io_x());
-            format!("{} {} {} {}", base.cycles, s1.cycles, s2.cycles, base2.cycles)
-        };
-        let (out, runner, info) = run_reports(report);
-        // Two unique points: the io baseline and the specialized run.
-        assert_eq!(info.unique_points, 2);
-        let s = runner.cache_stats();
-        assert_eq!(s.sims, 2, "each unique point simulated exactly once");
-        assert_eq!(s.lookups, 4);
-        assert_eq!(s.hits, 4, "render pass is fully cache-served");
-        // And the rendered text matches a direct (uncached) computation.
-        let direct_base = crate::run_gp_baseline(k, SystemConfig::io());
-        let direct_spec = crate::run_kernel(k, SystemConfig::io_x(), ExecMode::Specialized);
-        assert_eq!(
-            out,
-            format!(
-                "{} {} {} {}",
-                direct_base.cycles, direct_spec.cycles, direct_spec.cycles, direct_base.cycles
-            )
-        );
+        let message = r.error.as_deref();
+        assert_eq!(message, Some("spec references unknown kernel no-such-kernel"), "{r:?}");
+        assert!(typed.is_none(), "a panic carries no typed class");
     }
 }

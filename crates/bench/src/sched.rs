@@ -1,26 +1,23 @@
 //! The scheduler layer: one orchestration code path for every entry
-//! point.
+//! point, and one execution path per point.
 //!
-//! Before this module, execution sequencing was smeared across three
-//! layers that each re-implemented it: `Runner::prefill` owned its own
-//! scoped-thread pool, the store drivers owned probe/miss/save
-//! sequencing, and the CLI owned shard plumbing. Now there is exactly
-//! one of each:
-//!
-//! - [`run_jobs`] — the work-stealing worker pool. Every parallel fill in
-//!   the workspace (including [`crate::Runner::prefill`]) funnels through
-//!   it. Each worker owns a deque seeded round-robin; it pops its own
-//!   front and steals from the back of others when dry, so an unlucky
-//!   worker stuck behind one slow simulation point cannot strand the
-//!   rest of the list. Results land in per-item slots, so the output
-//!   order is the input order regardless of which worker ran what — the
-//!   serial/parallel byte-identity CI pins survives unchanged.
-//! - [`Scheduler`] — the store-aware orchestrator. It derives the
-//!   [`Job`] list from manifests, consults the [`ResultStore`] before
-//!   dispatch (a hit is `Done` without a worker ever seeing it), routes
-//!   the misses through the memoizing [`Runner`]'s two-pass protocol
-//!   (which reuses the supervisor/quarantine machinery per point), and
-//!   writes fresh results back through the store.
+//! - [`run_jobs`] — the work-stealing thread pool. Each worker owns a
+//!   deque seeded round-robin; it pops its own front and steals from the
+//!   back of others when dry, so an unlucky worker stuck behind one slow
+//!   simulation point cannot strand the rest of the list. Results land in
+//!   per-item slots, so the output order is the input order regardless of
+//!   which worker ran what — the serial/parallel byte-identity CI pins
+//!   survives unchanged.
+//! - [`Scheduler`] — the store-aware orchestrator. It takes the work
+//!   straight from the specs' point lists, consults the [`ResultStore`]
+//!   before dispatch (a hit is `Done` without a worker ever seeing it),
+//!   deduplicates the misses by [`RunKey`] — what a point simulates, not
+//!   which spec asked — and hands each unique simulation to one executor:
+//!   [`run_jobs`] over [`crate::runner::execute`] in-process, or the
+//!   supervised [`WorkerPool`]. Fresh results are written back through
+//!   the store. The routes differ only in the executor, so a point shared
+//!   by two specs simulates once on every route and the artifact bytes
+//!   cannot depend on the route.
 //!
 //! The scheduler reports a deterministic, ordered [`ProgressEvent`]
 //! stream. Determinism is by construction, not by luck: events are
@@ -31,26 +28,24 @@
 //! each point's stat tree as `profile.sched.*` counters (the
 //! non-deterministic-tolerant stat family, never golden artifacts).
 //!
-//! [`run_shard_stored`] and [`run_specs_stored`] — the drivers behind
-//! `xloops sweep`, `--bin all`, and `bench-summary` — are thin adapters
-//! over [`Scheduler::run`], as is the serve daemon
-//! ([`crate::serve`]). Crash-safe resume falls out of the layering: a
-//! restarted daemon re-derives a resubmitted manifest's jobs, finds the
-//! finished ones in the store, and only dispatches the rest.
+//! `xloops sweep` ([`run_shard_stored`]), `--bin all`, the artifact
+//! binaries ([`crate::emit_spec`]) and the serve daemon
+//! ([`crate::serve`]) are thin adapters over [`Scheduler::run`].
+//! Crash-safe resume falls out of the layering: a restarted daemon
+//! re-derives a resubmitted manifest's jobs, finds the finished ones in
+//! the store, and only dispatches the rest.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
-use xloops_kernels::by_name;
-use xloops_sim::{ExecMode, RunOptions, SystemConfig};
+use xloops_sim::{RunOptions, SimError};
 use xloops_stats::{JsonValue, StatSet};
 
 use crate::job::{Job, JobState};
-use crate::manifest::{
-    request_point, shard_points, ExperimentSpec, PointResult, ShardDoc, SpecPoint,
-};
-use crate::runner::{PrefillInfo, RunFailure, RunKey, Runner};
+use crate::manifest::{shard_points, ExperimentSpec, PointResult, ShardDoc};
+use crate::runner::{execute, RunFailure, RunKey, Simulation};
 use crate::store::{attach_store_counters, Loaded, ResultStore};
 use crate::worker::{PoolConfig, RemoteRegistry, WireJob, WorkerPool};
 
@@ -233,19 +228,29 @@ impl JobOutcome {
     }
 }
 
+/// Execution summary of a sweep: the unique simulations it ran (hits
+/// never enter it) and on how many workers.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PrefillInfo {
+    /// Unique simulation points executed.
+    pub unique_points: usize,
+    /// Worker threads or processes used.
+    pub workers: usize,
+}
+
 /// Everything a sweep produced: per-spec outcomes (spec order, then owned
 /// point order), the deterministic event stream, the quarantine list, and
-/// the pool summary.
+/// the execution summary.
 #[derive(Clone, Debug)]
 pub struct SweepOutcome {
     /// Per input spec, one [`JobOutcome`] per owned point.
     pub outcomes: Vec<Vec<JobOutcome>>,
     /// The ordered progress stream (see [`ProgressEvent`]).
     pub events: Vec<ProgressEvent>,
-    /// Quarantined simulation points across all specs.
+    /// Quarantined simulation points across all specs, once per unique
+    /// simulation.
     pub failures: Vec<RunFailure>,
-    /// Worker-pool summary (unique *simulated* points; hits never enter
-    /// it).
+    /// Execution summary (unique *simulated* points; hits never enter it).
     pub prefill: PrefillInfo,
 }
 
@@ -261,11 +266,14 @@ struct Probe {
     corrupt: Vec<bool>,
 }
 
+/// One executed simulation: the point result (placeholder stats plus the
+/// diagnosis when it failed) and the typed error class, when known.
+type Executed = (PointResult, Option<SimError>);
+
 /// The store-aware orchestrator. Construct one per sweep with the options
 /// every job runs under and an optional durable store; [`Scheduler::run`]
-/// executes any number of `(spec, owned point indices)` work items
-/// against one shared memoizing runner, so identical points are
-/// deduplicated *across* specs exactly like `--bin all`'s shared cache.
+/// executes any number of `(spec, owned point indices)` work items, so
+/// identical simulations are deduplicated *across* specs.
 pub struct Scheduler<'a> {
     options: RunOptions,
     store: Option<&'a ResultStore>,
@@ -307,15 +315,13 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Runs every owned point of every work item: store hits resolve
-    /// immediately, the rest deduplicate and execute — on the supervised
-    /// multi-process [`WorkerPool`] when one is configured (and can
-    /// spawn), else through the two-pass runner protocol fanned out over
-    /// the in-process [`run_jobs`] — fresh non-errored results are
+    /// immediately; the misses deduplicate by [`RunKey`] and each unique
+    /// simulation executes once — on the supervised multi-process
+    /// [`WorkerPool`] when one is configured (and can spawn), else on the
+    /// in-process [`run_jobs`] pool. Fresh non-errored results are
     /// appended to the store and committed with one fsync before this
     /// returns, and the outcomes come back in work order with the
-    /// deterministic event stream alongside. Both execution routes fill
-    /// the same item-ordered miss slots, so the assembled artifact bytes
-    /// cannot depend on the route.
+    /// deterministic event stream alongside.
     pub fn run(&self, work: &[(&ExperimentSpec, Vec<usize>)]) -> SweepOutcome {
         let probes: Vec<Probe> =
             work.iter().map(|(spec, indices)| self.probe(spec, indices.clone())).collect();
@@ -326,22 +332,65 @@ impl<'a> Scheduler<'a> {
             }
         }
 
-        let (fresh, failures, prefill) = self.simulate(work, &probes);
+        // Every miss, deduplicated by what it simulates: `jobs[at]` names
+        // the first point that asked for simulation `sims[at]`, and each
+        // probe records which unique simulation serves each of its misses.
+        let mut unique: HashMap<RunKey, usize> = HashMap::new();
+        let mut jobs: Vec<WireJob<'_>> = Vec::new();
+        let mut sims: Vec<Simulation> = Vec::new();
+        let mut slots: Vec<Vec<usize>> = Vec::with_capacity(probes.len());
+        for ((spec, _), probe) in work.iter().zip(&probes) {
+            let mut mine = Vec::new();
+            for (&index, slot) in probe.indices.iter().zip(&probe.loaded) {
+                if slot.is_some() {
+                    continue;
+                }
+                let sim = Simulation::of_point(&spec.points[index], &self.options);
+                let at = *unique.entry(sim.key).or_insert_with(|| {
+                    jobs.push(WireJob {
+                        spec,
+                        fingerprint: probe.fingerprint.clone(),
+                        index,
+                        options: &self.options,
+                        fanout: 0,
+                    });
+                    sims.push(sim);
+                    jobs.len() - 1
+                });
+                jobs[at].fanout += 1;
+                mine.push(at);
+            }
+            slots.push(mine);
+        }
 
-        // Map a quarantine diagnosis back to its typed class, when the
-        // failure carried one (see `RunFailure::sim`).
-        let typed: HashMap<&str, &xloops_sim::SimError> = failures
+        let (executed, prefill) = self.dispatch(&jobs, &sims);
+
+        let failures = sims
             .iter()
-            .filter_map(|f| f.sim.as_ref().map(|e| (f.message.as_str(), e)))
+            .zip(&executed)
+            .filter_map(|(sim, (result, error))| {
+                result.error.as_ref().map(|message| RunFailure {
+                    key: sim.key,
+                    message: message.clone(),
+                    sim: error.clone(),
+                })
+            })
             .collect();
-
+        // Each result goes to every miss it serves, moved into the last
+        // one so no shared result is held twice.
+        let mut executed: Vec<Option<Executed>> = executed.into_iter().map(Some).collect();
+        let mut left: Vec<u64> = jobs.iter().map(|j| j.fanout).collect();
         let mut events = Vec::new();
         let mut job = 0;
-        let outcomes: Vec<Vec<JobOutcome>> = probes
-            .into_iter()
-            .zip(fresh)
-            .map(|(p, fresh)| self.assemble(p, fresh, &typed, &mut events, &mut job))
-            .collect();
+        let mut outcomes = Vec::with_capacity(probes.len());
+        for (p, mine) in probes.into_iter().zip(slots) {
+            let fresh = mine.into_iter().map(|at| {
+                left[at] -= 1;
+                let result = if left[at] == 0 { executed[at].take() } else { executed[at].clone() };
+                result.expect("a result serves each of its misses")
+            });
+            outcomes.push(self.assemble(p, fresh, &mut events, &mut job));
+        }
         // One fsync makes the whole sweep durable before anyone hears of it.
         if let Some(store) = self.store {
             if let Err(e) = store.commit() {
@@ -356,15 +405,10 @@ impl<'a> Scheduler<'a> {
         SweepOutcome { outcomes, events, failures, prefill }
     }
 
-    /// Simulates every missed point, per probe in index order: the
-    /// worker-pool route when configured and spawnable (degrading to
-    /// in-process with a warning otherwise), else the in-process
-    /// two-pass protocol.
-    fn simulate(
-        &self,
-        work: &[(&ExperimentSpec, Vec<usize>)],
-        probes: &[Probe],
-    ) -> (Vec<Vec<PointResult>>, Vec<RunFailure>, PrefillInfo) {
+    /// Executes each unique simulation once, in `jobs` order: on the
+    /// worker pool when configured and spawnable (degrading to in-process
+    /// with a warning otherwise), else in-process.
+    fn dispatch(&self, jobs: &[WireJob<'_>], sims: &[Simulation]) -> (Vec<Executed>, PrefillInfo) {
         let registered = self.remotes.as_ref().map_or(0, |r| r.available());
         let cfg = match (&self.pool, registered) {
             (Some(cfg), _) => Some(cfg.clone()),
@@ -375,90 +419,59 @@ impl<'a> Scheduler<'a> {
         };
         if let Some(cfg) = cfg {
             match WorkerPool::spawn_with(cfg, self.remotes.clone()) {
-                Ok(pool) => return self.simulate_pooled(&pool, work, probes),
+                Ok(pool) => {
+                    let outcomes = pool.run(jobs, self.progress.as_deref());
+                    let executed = outcomes.into_iter().map(|o| (o.result, o.sim)).collect();
+                    return (
+                        executed,
+                        PrefillInfo { unique_points: jobs.len(), workers: pool.workers() },
+                    );
+                }
                 Err(e) => {
                     eprintln!("xloops: worker pool unavailable ({e}); running in-process");
                 }
             }
         }
-        // Two-pass protocol over the union of misses: collect the
-        // deduplicated job list, fill the cache once, render live.
-        let misses: u64 =
-            probes.iter().map(|p| p.loaded.iter().filter(|s| s.is_none()).count() as u64).sum();
         if let Some(progress) = &self.progress {
-            // Coarse in-process accounting: every miss is in flight for
-            // the duration of the prefill; `finalize` trues it up.
-            progress.start(misses);
+            // Coarse in-process accounting: every admitted miss is in
+            // flight for the duration of the fan-out; `finalize` trues it
+            // up.
+            progress.start(jobs.iter().map(|j| j.fanout).sum());
         }
-        let runner = Runner::collecting_with(self.options.clone());
-        let simulate = |r: &Runner| -> Vec<Vec<PointResult>> {
-            work.iter().zip(probes).map(|((spec, _), p)| request_misses(r, spec, p)).collect()
+        let o = &self.options;
+        let workers = match (o.serial, o.threads) {
+            (true, _) => 1,
+            (false, Some(n)) => n,
+            (false, None) => std::thread::available_parallelism().map_or(1, |n| n.get()),
         };
-        let _ = simulate(&runner);
-        let prefill = runner.prefill();
-        let fresh = simulate(&runner);
-        (fresh, runner.failures(), prefill)
-    }
-
-    /// The pooled route: deduplicate the misses by store key (the same
-    /// `(fingerprint, index, options)` identity the durable store uses),
-    /// ship each unique job to the supervised pool once, and fan the
-    /// outcomes back out to every probe slot that aliased them. The
-    /// slots are filled in exactly the order [`request_misses`] would
-    /// produce, so [`Scheduler::assemble`] — and therefore the artifact
-    /// bytes — cannot tell the routes apart.
-    fn simulate_pooled(
-        &self,
-        pool: &WorkerPool,
-        work: &[(&ExperimentSpec, Vec<usize>)],
-        probes: &[Probe],
-    ) -> (Vec<Vec<PointResult>>, Vec<RunFailure>, PrefillInfo) {
-        let mut unique: HashMap<&str, usize> = HashMap::new();
-        let mut jobs: Vec<WireJob<'_>> = Vec::new();
-        // Per probe, the unique-job slot of each miss, in index order.
-        let mut slots: Vec<Vec<usize>> = Vec::with_capacity(probes.len());
-        for ((spec, _), probe) in work.iter().zip(probes) {
-            let mut mine = Vec::new();
-            for ((&i, key), slot) in probe.indices.iter().zip(&probe.keys).zip(&probe.loaded) {
-                if slot.is_some() {
-                    continue;
-                }
-                let at = *unique.entry(key.as_str()).or_insert_with(|| {
-                    jobs.push(WireJob {
-                        spec,
-                        fingerprint: probe.fingerprint.clone(),
-                        index: i,
-                        options: &self.options,
-                        fanout: 0,
-                    });
-                    jobs.len() - 1
-                });
-                jobs[at].fanout += 1;
-                mine.push(at);
+        let workers = workers.clamp(1, sims.len().max(1));
+        // Wall-clock profiling is only meaningful serially (parallel
+        // timings measure contention, not the simulator).
+        let profile = o.profile && workers <= 1;
+        let timings = Mutex::new(Vec::new());
+        let runs = run_jobs(sims, workers, |_, sim| {
+            let t = Instant::now();
+            let run = execute(sim, o);
+            if profile {
+                timings.lock().unwrap().push((t.elapsed(), sim.key));
             }
-            slots.push(mine);
+            run
+        });
+        if profile {
+            print_slowest(timings.into_inner().unwrap());
         }
-
-        let outcomes = pool.run(&jobs, self.progress.as_deref());
-
-        let failures = jobs
-            .iter()
-            .zip(&outcomes)
-            .filter_map(|(job, outcome)| {
-                outcome.result.error.as_ref().map(|message| RunFailure {
-                    key: run_key_for(&job.spec.points[job.index], &self.options),
-                    message: message.clone(),
-                    sim: outcome.sim.clone(),
-                })
+        // Results become stat trees here on the calling thread, which
+        // goes on to own them, rather than on the short-lived pool
+        // threads.
+        let executed = runs
+            .into_iter()
+            .zip(jobs)
+            .map(|((run, error), job)| {
+                let is_ooo = job.spec.points[job.index].config.is_ooo();
+                (PointResult::from_run(&run, is_ooo), error)
             })
             .collect();
-        let fresh = slots
-            .into_iter()
-            .map(|mine| mine.into_iter().map(|at| outcomes[at].result.clone()).collect())
-            .collect();
-        let prefill =
-            PrefillInfo { unique_points: jobs.len(), workers: pool.workers(), serial: false };
-        (fresh, failures, prefill)
+        (executed, PrefillInfo { unique_points: sims.len(), workers })
     }
 
     fn probe(&self, spec: &ExperimentSpec, indices: Vec<usize>) -> Probe {
@@ -485,12 +498,10 @@ impl<'a> Scheduler<'a> {
     fn assemble(
         &self,
         probe: Probe,
-        fresh: Vec<PointResult>,
-        typed: &HashMap<&str, &xloops_sim::SimError>,
+        mut fresh: impl Iterator<Item = Executed>,
         events: &mut Vec<ProgressEvent>,
         job: &mut usize,
     ) -> Vec<JobOutcome> {
-        let mut fresh = fresh.into_iter();
         probe
             .indices
             .into_iter()
@@ -501,14 +512,14 @@ impl<'a> Scheduler<'a> {
                 let this = *job;
                 *job += 1;
                 events.push(ProgressEvent::Queued { job: this });
-                let (hit, bytes, mut result) = match slot {
+                let (hit, bytes, mut result, error) = match slot {
                     Some((result, bytes)) => {
                         events.push(ProgressEvent::Hit { job: this });
-                        (true, bytes, result)
+                        (true, bytes, result, None)
                     }
                     None => {
                         events.push(ProgressEvent::Started { job: this });
-                        let result = fresh.next().expect("one fresh result per miss");
+                        let (result, error) = fresh.next().expect("one fresh result per miss");
                         events.push(ProgressEvent::Finished {
                             job: this,
                             ok: result.error.is_none(),
@@ -524,15 +535,13 @@ impl<'a> Scheduler<'a> {
                                 }
                             }
                         }
-                        (false, written, result)
+                        (false, written, result, error)
                     }
                 };
-                let state = match &result.error {
-                    None => JobState::Done,
-                    Some(message) => match typed.get(message.as_str()) {
-                        Some(e) => JobState::Failed((*e).clone()),
-                        None => JobState::Quarantined(message.clone()),
-                    },
+                let state = match (&result.error, error) {
+                    (None, _) => JobState::Done,
+                    (Some(_), Some(e)) => JobState::Failed(e),
+                    (Some(message), None) => JobState::Quarantined(message.clone()),
                 };
                 if self.options.profile {
                     if self.store.is_some() {
@@ -551,48 +560,20 @@ impl<'a> Scheduler<'a> {
     }
 }
 
-/// The [`RunKey`] a failed pooled point would have carried through the
-/// in-process runner: same baseline normalization (LPSU stripped, mode
-/// forced traditional, lowered) and same sampling fallback as
-/// [`request_point`], so quarantine reports name identical identities on
-/// both routes. A kernel name the spec invented keys as itself-unknown
-/// rather than panicking — the failure is the report, not a crash.
-fn run_key_for(p: &SpecPoint, options: &RunOptions) -> RunKey {
-    let kernel = by_name(&p.kernel).map(|k| k.name).unwrap_or("unknown-kernel");
-    let config = p.config.resolve();
-    if p.gp_lowered {
-        let config = SystemConfig { lpsu: None, ..config };
-        RunKey {
-            kernel,
-            config: config.key(),
-            mode: ExecMode::Traditional,
-            gp_lowered: true,
-            sample: options.sample,
-        }
-    } else {
-        RunKey {
-            kernel,
-            config: config.key(),
-            mode: p.mode,
-            gp_lowered: false,
-            sample: p.sampling.or(options.sample),
-        }
+/// Prints the slowest in-process simulation points of a serial profiled
+/// sweep (`XLOOPS_BENCH_PROFILE=1`).
+fn print_slowest(mut timings: Vec<(Duration, RunKey)>) {
+    timings.sort_by_key(|&(d, _)| std::cmp::Reverse(d));
+    eprintln!("[profile] slowest simulation points:");
+    for (d, key) in timings.iter().take(20) {
+        eprintln!(
+            "[profile] {:8.1} ms  {} {:?} gp={}",
+            d.as_secs_f64() * 1e3,
+            key.kernel,
+            key.mode,
+            key.gp_lowered,
+        );
     }
-}
-
-/// Requests every *missed* point of `probe` through the runner — called
-/// once collecting and once live, like [`crate::manifest::run_spec`].
-fn request_misses(r: &Runner, spec: &ExperimentSpec, probe: &Probe) -> Vec<PointResult> {
-    probe
-        .indices
-        .iter()
-        .zip(&probe.loaded)
-        .filter(|(_, slot)| slot.is_none())
-        .map(|(&i, _)| {
-            let p = &spec.points[i];
-            PointResult::from_run(&request_point(r, p), p.config.is_ooo())
-        })
-        .collect()
 }
 
 /// Grafts a `sched` child onto the result's `profile` node: the job's
@@ -616,10 +597,14 @@ fn attach_sched_counters(stats: &mut StatSet, job: usize, hit: bool) {
     }
 }
 
+/// Every point of every spec: the work list of a full regeneration.
+pub fn all_points(specs: &[ExperimentSpec]) -> Vec<(&ExperimentSpec, Vec<usize>)> {
+    specs.iter().map(|s| (s, (0..s.points.len()).collect())).collect()
+}
+
 /// [`crate::manifest::run_shard`] with an optional durable store: hits
-/// are served from disk, only misses enter the two-pass simulate
-/// protocol, and fresh results are written back. `None` is exactly the
-/// storeless behavior.
+/// are served from disk, only misses simulate, and fresh results are
+/// written back. `None` is exactly the storeless behavior.
 pub fn run_shard_stored(
     spec: &ExperimentSpec,
     index: usize,
@@ -635,45 +620,97 @@ pub fn run_shard_stored(
     ShardDoc { fingerprint: spec.fingerprint(), index, of, options, spec: spec.clone(), results }
 }
 
-/// Results of a store-backed multi-spec sweep.
-#[derive(Clone, Debug)]
-pub struct StoredSweepResult {
-    /// Per-spec, per-point results (spec and point order), ready for
-    /// [`crate::manifest::render_spec`].
-    pub results: Vec<Vec<PointResult>>,
-    /// Quarantined simulation points across all specs.
-    pub failures: Vec<RunFailure>,
-    /// Prefill summary (unique *simulated* points; hits never enter it).
-    pub prefill: PrefillInfo,
-}
-
-/// Runs every spec against one shared runner with store consultation:
-/// points present in the store are read, the rest are deduplicated
-/// *across specs* (like `--bin all`'s shared collecting runner) and
-/// simulated once, then written back.
-pub fn run_specs_stored(
-    specs: &[ExperimentSpec],
-    options: &RunOptions,
-    store: &ResultStore,
-) -> StoredSweepResult {
-    let work: Vec<(&ExperimentSpec, Vec<usize>)> =
-        specs.iter().map(|s| (s, (0..s.points.len()).collect())).collect();
-    let swept = Scheduler::new(options.clone(), Some(store)).run(&work);
-    StoredSweepResult {
-        results: swept
-            .outcomes
-            .into_iter()
-            .map(|outcomes| outcomes.into_iter().map(|o| o.result).collect())
-            .collect(),
-        failures: swept.failures,
-        prefill: swept.prefill,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manifest::{
+        render_spec, Cell, EnergyPreset, GppPreset, Section, SectionBody, SpecBuilder, SpecPoint,
+    };
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use xloops_lpsu::LpsuConfig;
+    use xloops_sim::ExecMode;
+
+    /// Two specs that share simulations. Per kernel, `a` asks for the io
+    /// baseline and the specialized io+x run; `b` asks for the same two
+    /// plus the baseline again carrying an LPSU (which baseline
+    /// normalization strips) and an adaptive run of its own: six requests,
+    /// three distinct simulations.
+    fn overlapping_specs() -> Vec<ExperimentSpec> {
+        let (io, e) = (GppPreset::Io, EnergyPreset::Mcpat45);
+        let x4 = Some(LpsuConfig::default4());
+        let table = |rows| SectionBody::Table { header: vec!["name".into(), "S".into()], rows };
+        let mut a = SpecBuilder::new("a", "A\n\n");
+        let mut b = SpecBuilder::new("b", "B\n\n");
+        let (mut a_rows, mut b_rows, mut aliases) = (Vec::new(), Vec::new(), Vec::new());
+        for name in ["huffman-ua", "rgb2cmyk-uc", "dither-or"] {
+            let base = a.baseline(name, io, e);
+            let run = a.point(name, io, x4, e, ExecMode::Specialized);
+            a_rows.push(vec![Cell::Text(name.into()), Cell::Speedup { base, run }]);
+            let base = b.baseline(name, io, e);
+            let run = b.point(name, io, x4, e, ExecMode::Specialized);
+            let adaptive = b.point(name, io, x4, e, ExecMode::Adaptive);
+            b_rows.push(vec![Cell::Text(name.into()), Cell::Speedup { base, run }]);
+            aliases.push((name, adaptive));
+        }
+        a.section("", table(a_rows), "");
+        b.section("", table(b_rows), "");
+        let mut b = b.build();
+        for (name, adaptive) in aliases {
+            let mut alias = b.points[0].clone();
+            alias.kernel = name.into();
+            alias.config.lpsu = x4;
+            b.points.push(alias);
+            let base = b.points.len() - 1;
+            let row = vec![Cell::Text(name.into()), Cell::Speedup { base, run: adaptive }];
+            b.sections.push(Section {
+                prefix: String::new(),
+                body: table(vec![row]),
+                suffix: String::new(),
+            });
+        }
+        vec![a.build(), b]
+    }
+
+    fn render_all(specs: &[ExperimentSpec], swept: &SweepOutcome) -> Vec<String> {
+        let results = |o: &Vec<JobOutcome>| o.iter().map(|o| o.result.clone()).collect::<Vec<_>>();
+        specs.iter().zip(&swept.outcomes).map(|(s, o)| render_spec(s, &results(o))).collect()
+    }
+
+    #[test]
+    fn shared_points_simulate_once_per_run_key() {
+        let specs = overlapping_specs();
+        let options = RunOptions::default();
+        let points = specs.iter().flat_map(|s| &s.points);
+        let keys: HashSet<RunKey> =
+            points.clone().map(|p| Simulation::of_point(p, &options).key).collect();
+        assert_eq!((points.count(), keys.len()), (18, 9));
+        let swept = Scheduler::new(options, None).with_pool(None).run(&all_points(&specs));
+        assert!(swept.failures.is_empty());
+        assert_eq!(swept.prefill.unique_points, keys.len(), "one simulation per RunKey");
+        // Every request that aliases a simulation carries its exact bytes.
+        let doc = |s: usize, i: usize| swept.outcomes[s][i].result.to_json_value().render();
+        let alias_of = |p: &SpecPoint| Simulation::of_point(p, &RunOptions::default()).key;
+        for (i, p) in specs[1].points.iter().enumerate() {
+            let j = specs[0].points.iter().position(|q| alias_of(q) == alias_of(p));
+            if let Some(j) = j {
+                assert_eq!(doc(1, i), doc(0, j), "point {i} of b aliases point {j} of a");
+            }
+        }
+    }
+
+    #[test]
+    fn multi_spec_sweeps_render_byte_identically_on_one_and_four_threads() {
+        let specs = overlapping_specs();
+        let sweep = |threads| {
+            let options = RunOptions { threads: Some(threads), ..RunOptions::default() };
+            Scheduler::new(options, None).with_pool(None).run(&all_points(&specs))
+        };
+        let (serial, parallel) = (sweep(1), sweep(4));
+        assert_eq!((serial.prefill.workers, parallel.prefill.workers), (1, 4));
+        assert_eq!(serial.prefill.unique_points, parallel.prefill.unique_points);
+        assert_eq!(render_all(&specs, &serial), render_all(&specs, &parallel));
+    }
 
     #[test]
     fn pool_returns_results_in_item_order() {

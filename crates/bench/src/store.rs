@@ -15,7 +15,7 @@
 //! sweep serves an unsharded one and vice versa. Neither do the
 //! [`RunOptions`] knobs that cannot change a result — `serial`/`threads`
 //! (CI pins serial == parallel byte identity) and the `bench_date` stamp
-//! — so a dated `bench-summary` run hits a store warmed by `--bin all`.
+//! — so a store warmed serially serves a parallel sweep.
 //!
 //! Results live in append-only segment files, `<pid>-<n>.seg`, one per
 //! writing handle; each record is a checksummed 24-byte header and the
@@ -45,7 +45,7 @@ use xloops_stats::{binary, JsonValue, StatSet};
 
 use crate::manifest::{PointResult, ShardDoc};
 
-pub use crate::sched::{run_shard_stored, run_specs_stored, StoredSweepResult};
+pub use crate::sched::run_shard_stored;
 
 const SEGMENT_EXT: &str = ".seg";
 const HEADER_LEN: usize = 24;
@@ -664,16 +664,19 @@ mod tests {
         let spec = fig9ish_spec();
         let options = RunOptions::default();
         let specs = vec![spec.clone(), spec.clone()];
-        let swept = run_specs_stored(&specs, &options, &store);
+        let swept = crate::sched::Scheduler::new(options.clone(), Some(&store))
+            .with_pool(None)
+            .run(&crate::sched::all_points(&specs));
         assert!(swept.failures.is_empty());
-        // Identical specs: the shared runner simulates each unique point
-        // once even though the store records misses for both spec copies.
+        // Identical specs: each unique point simulates once even though
+        // the store records misses for both spec copies.
         assert!(swept.prefill.unique_points <= spec.points.len());
         let direct = run_shard(&spec, 0, 1, options.clone());
         let (merged_spec, merged) = merge(&[direct]).unwrap();
-        for rendered in &swept.results {
+        for outcomes in &swept.outcomes {
+            let rendered: Vec<_> = outcomes.iter().map(|o| o.result.clone()).collect();
             assert_eq!(
-                render_spec(&spec, rendered),
+                render_spec(&spec, &rendered),
                 render_spec(&merged_spec, &merged),
                 "store-backed render must match the plain one"
             );

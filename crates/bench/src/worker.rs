@@ -20,7 +20,7 @@
 //! the store-key triple — `(fingerprint, index, options)`, see
 //! [`crate::job::Job`] — against a manifest registered once per worker.
 //! The worker executes the point through the *same* code path as an
-//! in-process run ([`Runner`] + `manifest::request_point`), so diagnosis
+//! in-process run ([`Simulation::of_point`] + [`execute`]), so diagnosis
 //! messages, stats, and the rendered [`PointResult`] are bit-identical; a
 //! typed [`SimError`] additionally ships its class exit code, which the
 //! parent re-wraps as [`SimError::Remote`] so error documents keep their
@@ -60,7 +60,6 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -71,12 +70,12 @@ use std::time::{Duration, Instant};
 use xloops_sim::{RunOptions, SimError, SystemStats};
 use xloops_stats::JsonValue;
 
-use crate::manifest::{request_point, ExperimentSpec, PointResult};
+use crate::manifest::{ExperimentSpec, PointResult};
 use crate::proto::{
     self, hb_doc, is_heartbeat, job_request, manifest_request, register_request, token_from_env,
     FrameReader, FrameWriter, Refusal, Request, ACK_DEADLINE, HEARTBEAT_PERIOD,
 };
-use crate::runner::Runner;
+use crate::runner::{execute, Simulation};
 use crate::sched::SweepProgress;
 use crate::transport::{Conn, ConnControl, Endpoint};
 use crate::RunResult;
@@ -785,8 +784,8 @@ fn run_with_retries(
 }
 
 /// The degradation terminus of a remotes-only pool: the dispatcher runs
-/// the point itself through the exact worker executor — same runner, same
-/// panic firewall, same diagnosis messages, same bytes — so a vanished
+/// the point itself through the exact worker executor — same
+/// [`execute`], same diagnosis messages, same bytes — so a vanished
 /// remote fleet costs throughput, never correctness.
 fn run_job_in_process(job: &WireJob<'_>, attempts: u32) -> WorkerOutcome {
     let doc = run_wire_job(job.spec, job.index, job.options.clone());
@@ -946,46 +945,22 @@ fn handle_worker_request(
     }
 }
 
-/// Executes one point exactly as the in-process scheduler would — same
-/// runner, same panic firewall semantics, same diagnosis messages — and
-/// renders the reply. A typed [`SimError`] ships its class exit code so
-/// the parent can preserve it in error documents.
+/// Executes one point through the same [`execute`] the in-process
+/// scheduler calls — same normalization, same panic firewall, same
+/// diagnosis messages — and renders the reply. A typed [`SimError`]
+/// ships its class exit code so the parent can preserve it in error
+/// documents.
 fn run_wire_job(spec: &ExperimentSpec, index: usize, options: RunOptions) -> JsonValue {
     let p = &spec.points[index];
-    let (result, exit_code) = catch_unwind(AssertUnwindSafe(|| {
-        let runner = Runner::with_options(options);
-        let run = request_point(&runner, p);
-        let exit = runner
-            .failures()
-            .iter()
-            .find(|f| Some(&f.message) == run.error.as_ref())
-            .and_then(|f| f.sim.as_ref().map(SimError::exit_code));
-        (PointResult::from_run(&run, p.config.is_ooo()), exit)
-    }))
-    .unwrap_or_else(|payload| {
-        // A panic that escaped the runner's firewall (e.g. an unknown
-        // kernel name caught before the runner executes): quarantine the
-        // point, keep the worker.
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        let run = RunResult {
-            cycles: 1,
-            energy_nj: 1.0,
-            stats: SystemStats::default(),
-            error: Some(message),
-        };
-        (PointResult::from_run(&run, p.config.is_ooo()), None)
-    });
+    let (run, error) = execute(&Simulation::of_point(p, &options), &options);
+    let result = PointResult::from_run(&run, p.config.is_ooo());
     let mut fields = vec![
         ("ok", JsonValue::Bool(true)),
         ("index", JsonValue::UInt(index as u64)),
         ("result", result.to_json_value()),
     ];
-    if let Some(code) = exit_code {
-        fields.push(("exit_code", JsonValue::UInt(code as u64)));
+    if let Some(e) = error {
+        fields.push(("exit_code", JsonValue::UInt(e.exit_code() as u64)));
     }
     JsonValue::object(fields)
 }
@@ -1116,7 +1091,7 @@ mod tests {
     fn manifest_then_job_round_trips_a_point_identically() {
         // Register a tiny spec and run one point through the worker-side
         // handler; the result must be byte-identical to the in-process
-        // runner's answer for the same point.
+        // executor's answer for the same point.
         let spec = crate::experiments::spec_by_name("table2")
             .map(|mut s| {
                 s.points.truncate(1);
@@ -1136,9 +1111,9 @@ mod tests {
         assert!(exit.is_none(), "healthy point carries no exit code");
         assert!(result.error.is_none());
         let reference = {
-            let runner = Runner::with_options(options);
             let p = &spec.points[0];
-            PointResult::from_run(&request_point(&runner, p), p.config.is_ooo())
+            let (run, _) = execute(&Simulation::of_point(p, &options), &options);
+            PointResult::from_run(&run, p.config.is_ooo())
         };
         assert_eq!(
             result.to_json_value().render(),

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use xloops_bench::proto::{check_handshake, hello_ok, Request, PROTO_VERSION};
+use xloops_bench::proto::{check_handshake, hello_ok, FrameReader, Request, PROTO_VERSION};
 use xloops_bench::serve::{handle_line, ServiceState};
 use xloops_sim::RunOptions;
 use xloops_stats::JsonValue;
@@ -235,4 +235,35 @@ fn malformed_requests_are_refused_not_fatal() {
         assert_eq!(ok_flag(&resp.body), Some(false), "{:?}", String::from_utf8_lossy(line));
         assert_wire_contract(&resp);
     }
+}
+
+/// One timing of reading `frame` through [`FrameReader::next_line`],
+/// which assembles it from many buffered chunks.
+fn frame_read_time(frame: &[u8]) -> std::time::Duration {
+    let mut reader = FrameReader::new(frame);
+    let t = std::time::Instant::now();
+    let len = reader.next_line().expect("an in-cap frame reads").map(<[u8]>::len);
+    let elapsed = t.elapsed();
+    assert_eq!(len, Some(frame.len()));
+    elapsed
+}
+
+#[test]
+fn frame_reading_is_linear_time() {
+    // A frame twice as long must cost about twice the time; a reader that
+    // rescans its buffer per chunk costs about four times. The sizes
+    // alternate so host noise hits both alike; each keeps the least of
+    // its timings.
+    let frame = |n: usize| {
+        let mut bytes = vec![b'a'; n - 1];
+        bytes.push(b'\n');
+        bytes
+    };
+    let (small, large) = (frame(2 << 20), frame(4 << 20));
+    let (mut n, mut n2) = (std::time::Duration::MAX, std::time::Duration::MAX);
+    for _ in 0..11 {
+        n = n.min(frame_read_time(&small));
+        n2 = n2.min(frame_read_time(&large));
+    }
+    assert!(n2 < n * 3, "n: {n:?}, 2n: {n2:?}");
 }

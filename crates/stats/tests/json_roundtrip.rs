@@ -214,3 +214,44 @@ fn string_parsing_is_linear_time() {
     let large = min_parse_time(256 << 10);
     assert!(large < small * 64, "16 KiB: {small:?}, 256 KiB: {large:?}");
 }
+
+/// A binary document holding an array of `n` small objects, each with
+/// its own string (the keys are interned once in the key table).
+fn binary_doc(n: usize) -> Vec<u8> {
+    let elements = (0..n)
+        .map(|i| {
+            JsonValue::object(vec![
+                ("name", JsonValue::Str(format!("point-{i}"))),
+                ("cycles", JsonValue::UInt(i as u64 * 977)),
+                ("energy", JsonValue::Float(i as f64 * 0.5)),
+            ])
+        })
+        .collect();
+    binary::encode(&JsonValue::Array(elements))
+}
+
+/// One timing of reading `bytes` through both entry points: the tree
+/// decoder and the typed [`binary::read`] walk.
+fn binary_decode_time(bytes: &[u8]) -> std::time::Duration {
+    let t = std::time::Instant::now();
+    let tree = binary::decode(bytes).expect("a valid binary document");
+    binary::read(bytes, |c| c.skip()).expect("a valid binary document");
+    let elapsed = t.elapsed();
+    assert!(matches!(tree, JsonValue::Array(_)));
+    elapsed
+}
+
+#[test]
+fn binary_decoding_is_linear_time() {
+    // Twice the elements must cost about twice the time; a decoder that
+    // rescans what it already read per element costs about four times.
+    // The sizes alternate so host noise hits both alike; each keeps the
+    // least of its timings.
+    let (small, large) = (binary_doc(40_000), binary_doc(80_000));
+    let (mut n, mut n2) = (std::time::Duration::MAX, std::time::Duration::MAX);
+    for _ in 0..11 {
+        n = n.min(binary_decode_time(&small));
+        n2 = n2.min(binary_decode_time(&large));
+    }
+    assert!(n2 < n * 3, "n: {n:?}, 2n: {n2:?}");
+}

@@ -18,6 +18,8 @@
 //!   must end `Failed(Timeout)` and the sweep must still complete.
 //! * an unspawnable worker executable — the pool degrades to in-process
 //!   execution with identical results.
+//! * two specs sharing points — each shared simulation ships to a
+//!   worker once, exactly as the in-process route runs it once.
 //!
 //! Byte-identity is asserted on the rendered per-point result documents:
 //! artifacts are a pure function of those bytes, so equality here is
@@ -28,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use xloops::bench::job::JobState;
 use xloops::bench::manifest::{ExperimentSpec, PointResult};
-use xloops::bench::sched::Scheduler;
+use xloops::bench::sched::{all_points, Scheduler};
 use xloops::bench::worker::PoolConfig;
 use xloops::sim::{RunOptions, SimError};
 use xloops::stats::JsonValue;
@@ -186,4 +188,41 @@ fn failure_documents_carry_the_diagnosis_out_of_band() {
     assert!(err.contains("worker lost"), "{err}");
     let round = PointResult::from_json_value(&doc).expect("failure docs round-trip");
     assert_eq!(round.error.as_deref(), Some(err), "diagnosis survives the round trip");
+}
+
+/// Two specs over overlapping slices of Table II: the second repeats two
+/// of the first's points under its own fingerprint and adds one more.
+fn overlapping_specs() -> Vec<ExperimentSpec> {
+    let table2 = xloops::bench::experiments::spec_by_name("table2").expect("table2 spec exists");
+    let mut a = table2.clone();
+    a.points.truncate(3);
+    a.sections.clear();
+    let mut b = table2;
+    b.name = "table2-overlap".into();
+    b.points = b.points[1..4].to_vec();
+    b.sections.clear();
+    vec![a, b]
+}
+
+/// The pooled route deduplicates across specs by what a point simulates,
+/// exactly like the in-process route: a point two specs share ships to a
+/// worker once, and both specs receive its byte-identical result.
+#[test]
+fn shared_points_ship_once_and_render_like_in_process() {
+    let specs = overlapping_specs();
+    let work = all_points(&specs);
+    // One in-process thread, so a silent in-process fallback of the
+    // pooled sweep would show as a worker count of 1.
+    let options = RunOptions { threads: Some(1), ..RunOptions::default() };
+    let run = |cfg| Scheduler::new(options.clone(), None).with_pool(cfg).run(&work);
+    let pooled = run(Some(pool(Vec::new())));
+    let local = run(None);
+
+    assert_eq!(pooled.prefill.workers, 2, "the sweep must really run on the pool");
+    assert_eq!(local.prefill.unique_points, 4, "six requests, four distinct simulations");
+    assert_eq!(pooled.prefill.unique_points, 4, "each shared point ships once");
+    for (p, l) in pooled.outcomes.iter().zip(&local.outcomes) {
+        assert!(p.iter().all(|o| o.state.is_done()));
+        assert_eq!(rendered(p), rendered(l), "pooled results must match in-process bytes");
+    }
 }
