@@ -20,7 +20,18 @@
 //! The file name's date comes from the system clock; set
 //! `XLOOPS_BENCH_DATE=YYYY-MM-DD` to override (e.g. in CI, or to update an
 //! existing file deterministically).
+//!
+//! `bench-summary --sweepbench FILE... [--parent FILE...]` also folds
+//! sweepbench runs into an `end_to_end` section, keyed by workload. Each
+//! FILE is the stdout of one or more `sweepbench/run.py` runs: a
+//! `workload NAME ...` report line names the workload of the closing
+//! `{"correct","attempted","failed","metrics"}` result line after it.
+//! Every metric gets the median and quartiles over its runs; `--parent`
+//! runs (the same workloads at the parent commit) land in a `parent`
+//! entry beside them, and each metric gains `delta_vs_parent`, the
+//! relative change of the median.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
@@ -64,6 +75,18 @@ struct SampledPoint {
 const SAMPLE_SPEC: &str = "10000:2000:10000";
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let end_to_end = parse_args(&args).and_then(|[change, parent]| {
+        if change.is_empty() {
+            return Ok(None);
+        }
+        end_to_end_doc(&read_runs(&change)?, &read_runs(&parent)?).map(Some)
+    });
+    let end_to_end = end_to_end.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
+
     let design_points = [
         (SystemConfig::io(), ExecMode::Traditional),
         (SystemConfig::io_x(), ExecMode::Specialized),
@@ -168,6 +191,7 @@ fn main() {
         functional: &functional,
         sampled: &sampled,
         errors: &errors,
+        end_to_end,
     });
     let path = workspace_root().join(format!("BENCH_{date}.json"));
     std::fs::write(&path, &json).expect("write BENCH json");
@@ -240,10 +264,11 @@ struct RenderInput<'a> {
     functional: &'a [FuncPoint],
     sampled: &'a [SampledPoint],
     errors: &'a [JsonValue],
+    end_to_end: Option<JsonValue>,
 }
 
 fn render_json(input: RenderInput<'_>) -> String {
-    let RenderInput { date, points, functional, sampled, errors } = input;
+    let RenderInput { date, points, functional, sampled, errors, end_to_end } = input;
     let total_wall: f64 = points.iter().map(|p| p.wall_s).sum();
     let total_cycles: u64 = points.iter().map(|p| p.sim_cycles).sum();
     // Per-kernel baseline for the functional speedup: the kernel's
@@ -258,7 +283,7 @@ fn render_json(input: RenderInput<'_>) -> String {
             .map(|p| p.sim_cycles as f64 / p.wall_s.max(1e-9))
             .fold(None, |acc: Option<f64>, r| Some(acc.map_or(r, |a| a.max(r))))
     };
-    let doc = JsonValue::object(vec![
+    let mut doc = JsonValue::object(vec![
         ("date", JsonValue::Str(date.to_string())),
         (
             "points",
@@ -362,9 +387,154 @@ fn render_json(input: RenderInput<'_>) -> String {
             ]),
         ),
     ]);
+    if let (Some(section), JsonValue::Object(fields)) = (end_to_end, &mut doc) {
+        fields.push(("end_to_end".to_string(), section));
+    }
     let mut s = doc.render_pretty();
     s.push('\n');
     s
+}
+
+/// Splits `--sweepbench FILE... [--parent FILE...]` into the change
+/// and parent file lists.
+fn parse_args(args: &[String]) -> Result<[Vec<String>; 2], String> {
+    let mut files: [Vec<String>; 2] = [Vec::new(), Vec::new()];
+    let mut into = None;
+    for arg in args {
+        match arg.as_str() {
+            "--sweepbench" => into = Some(0),
+            "--parent" => into = Some(1),
+            flag if flag.starts_with("--") => return Err(format!("unknown option `{flag}`")),
+            path => match into {
+                Some(i) => files[i].push(path.to_string()),
+                None => return Err(format!("`{path}` must follow --sweepbench or --parent")),
+            },
+        }
+    }
+    if files[0].is_empty() && !files[1].is_empty() {
+        return Err("--parent needs --sweepbench runs to compare against".to_string());
+    }
+    Ok(files)
+}
+
+/// One workload's sweepbench runs: whether every run was correct, and
+/// each metric's unit and values in first-seen order.
+#[derive(Default)]
+struct Runs {
+    runs: usize,
+    correct: bool,
+    metrics: Vec<(String, String, Vec<f64>)>,
+}
+
+/// Reads the closing result line of every sweepbench run in `paths`,
+/// grouped by the workload its report line names.
+fn read_runs(paths: &[String]) -> Result<BTreeMap<String, Runs>, String> {
+    let mut by_workload: BTreeMap<String, Runs> = BTreeMap::new();
+    for path in paths {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        fold_runs(&text, &mut by_workload).map_err(|e| format!("{path}: {e}"))?;
+    }
+    Ok(by_workload)
+}
+
+/// Folds one sweepbench stdout (one or more runs) into `by_workload`.
+fn fold_runs(text: &str, by_workload: &mut BTreeMap<String, Runs>) -> Result<(), String> {
+    let mut workload: Option<&str> = None;
+    let mut found = 0;
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("workload ") {
+            workload = rest.split_whitespace().next();
+            continue;
+        }
+        let Ok(doc) = JsonValue::parse(line.trim()) else { continue };
+        let (Some(correct), Some(metrics)) = (
+            doc.get("correct").and_then(JsonValue::as_bool),
+            doc.get("metrics").and_then(JsonValue::as_object),
+        ) else {
+            continue;
+        };
+        let name = workload.ok_or("a result line follows no `workload` report line")?;
+        let runs = by_workload
+            .entry(name.to_string())
+            .or_insert_with(|| Runs { correct: true, ..Runs::default() });
+        runs.runs += 1;
+        runs.correct &= correct;
+        for (metric, m) in metrics {
+            let value = m.get("value").and_then(JsonValue::as_f64);
+            let value = value.ok_or_else(|| format!("metric `{metric}` has no numeric value"))?;
+            let unit = m.get("unit").and_then(JsonValue::as_str).unwrap_or("");
+            match runs.metrics.iter_mut().find(|(n, _, _)| n == metric) {
+                Some((_, _, values)) => values.push(value),
+                None => runs.metrics.push((metric.clone(), unit.to_string(), vec![value])),
+            }
+        }
+        found += 1;
+    }
+    if found == 0 {
+        return Err("no sweepbench result line".to_string());
+    }
+    Ok(())
+}
+
+/// The `p`-quantile of `values`, interpolating linearly between ranks.
+fn quantile(values: &[f64], p: f64) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let pos = p * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
+/// One workload's runs as a document: run count, correctness, and each
+/// metric's median and quartiles — plus, against `parent`, the relative
+/// change of each median.
+fn runs_doc(runs: &Runs, parent: Option<&Runs>) -> JsonValue {
+    let metrics = runs
+        .metrics
+        .iter()
+        .map(|(name, unit, values)| {
+            let median = quantile(values, 0.5);
+            let mut fields = vec![
+                ("unit".to_string(), JsonValue::Str(unit.clone())),
+                ("median".to_string(), JsonValue::Float(r6(median))),
+                ("q1".to_string(), JsonValue::Float(r6(quantile(values, 0.25)))),
+                ("q3".to_string(), JsonValue::Float(r6(quantile(values, 0.75)))),
+            ];
+            let base = parent
+                .and_then(|p| p.metrics.iter().find(|(n, _, _)| n == name))
+                .map(|(_, _, v)| quantile(v, 0.5));
+            if let Some(base) = base.filter(|b| *b != 0.0) {
+                fields.push((
+                    "delta_vs_parent".to_string(),
+                    JsonValue::Float(r6(median / base - 1.0)),
+                ));
+            }
+            (name.clone(), JsonValue::Object(fields))
+        })
+        .collect();
+    let mut fields = vec![
+        ("runs".to_string(), JsonValue::UInt(runs.runs as u64)),
+        ("correct".to_string(), JsonValue::Bool(runs.correct)),
+        ("metrics".to_string(), JsonValue::Object(metrics)),
+    ];
+    if let Some(parent) = parent {
+        fields.push(("parent".to_string(), runs_doc(parent, None)));
+    }
+    JsonValue::Object(fields)
+}
+
+/// The `end_to_end` section: one entry per workload of `change`, each
+/// beside its `parent` runs when there are any.
+fn end_to_end_doc(
+    change: &BTreeMap<String, Runs>,
+    parent: &BTreeMap<String, Runs>,
+) -> Result<JsonValue, String> {
+    if let Some(orphan) = parent.keys().find(|w| !change.contains_key(*w)) {
+        return Err(format!("--parent has `{orphan}` runs but --sweepbench has none"));
+    }
+    Ok(JsonValue::Object(
+        change.iter().map(|(w, runs)| (w.clone(), runs_doc(runs, parent.get(w)))).collect(),
+    ))
 }
 
 fn workspace_root() -> PathBuf {
@@ -396,4 +566,52 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
     let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
     let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
     (if m <= 2 { y + 1 } else { y }, m, d)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const RUN: &str = "workload sweep_tcp seed 1 (20 s): 150 sweeps, 0 failed\n\
+        sweep_s_p50                            0.135000 s\n\
+        {\"correct\": true, \"attempted\": 150, \"failed\": 0, \"metrics\": \
+        {\"sweep_s_p50\": {\"value\": V, \"unit\": \"s\"}}}\n";
+
+    fn runs(values: &[&str]) -> BTreeMap<String, Runs> {
+        let mut by_workload = BTreeMap::new();
+        let text: String = values.iter().map(|v| RUN.replace('V', v)).collect();
+        fold_runs(&text, &mut by_workload).expect("fold");
+        by_workload
+    }
+
+    #[test]
+    fn sweepbench_runs_fold_into_medians_keyed_by_workload() {
+        let change = runs(&["0.13", "0.14", "0.12"]);
+        let parent = runs(&["0.16", "0.15"]);
+        let doc = end_to_end_doc(&change, &parent).expect("section");
+        let tcp = doc.get("sweep_tcp").expect("keyed by workload");
+        assert_eq!(tcp.get("runs").and_then(JsonValue::as_u64), Some(3));
+        assert_eq!(tcp.get("correct").and_then(JsonValue::as_bool), Some(true));
+        let p50 = tcp.get("metrics").and_then(|m| m.get("sweep_s_p50")).expect("metric");
+        assert_eq!(p50.get("median").and_then(JsonValue::as_f64), Some(0.13));
+        assert_eq!(p50.get("unit").and_then(JsonValue::as_str), Some("s"));
+        assert_eq!(p50.get("delta_vs_parent").and_then(JsonValue::as_f64), Some(-0.16129));
+        let base = tcp.get("parent").and_then(|p| p.get("metrics")).expect("parent entry");
+        let base = base.get("sweep_s_p50").and_then(|m| m.get("median"));
+        assert_eq!(base.and_then(JsonValue::as_f64), Some(0.155));
+    }
+
+    #[test]
+    fn sweepbench_input_errors_are_reported() {
+        let mut by_workload = BTreeMap::new();
+        assert!(fold_runs("no result here\n", &mut by_workload).is_err());
+        let orphan = RUN.replace('V', "0.1").replacen("workload sweep_tcp", "", 1);
+        assert!(fold_runs(&orphan, &mut by_workload).is_err(), "a result needs its workload");
+        assert!(end_to_end_doc(&BTreeMap::new(), &runs(&["0.1"])).is_err());
+        assert!(parse_args(&["x.log".to_string()]).is_err());
+        assert!(parse_args(&["--parent".to_string(), "x.log".to_string()]).is_err());
+        let [change, parent] =
+            parse_args(&["--sweepbench", "a", "b", "--parent", "c"].map(String::from)).unwrap();
+        assert_eq!((change.len(), parent.len()), (2, 1));
+    }
 }

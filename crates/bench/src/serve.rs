@@ -121,13 +121,15 @@ impl SweepPhase {
     }
 }
 
-/// One submitted sweep: the manifest, its current phase, and the live
+/// One submitted sweep: its point count, current phase, and the live
 /// progress tracker the scheduler ticks while sweeping. `cond` is
 /// notified on every phase change so any number of `--wait` clients can
-/// block on the same sweep.
+/// block on the same sweep. The manifest itself lives only in the sweep
+/// thread: a finished job stays registered for the done-sweep memo, and
+/// the memo needs the report, not the spec.
 pub struct SweepJob {
     id: String,
-    spec: ExperimentSpec,
+    points: usize,
     progress: Arc<SweepProgress>,
     phase: Mutex<SweepPhase>,
     cond: Condvar,
@@ -278,7 +280,7 @@ fn listing_doc(job: &SweepJob) -> JsonValue {
     let mut fields = vec![
         ("job".to_string(), JsonValue::Str(job.id.clone())),
         ("state".to_string(), JsonValue::Str(phase.label().to_string())),
-        ("points".to_string(), JsonValue::UInt(job.spec.points.len() as u64)),
+        ("points".to_string(), JsonValue::UInt(job.points as u64)),
         ("progress".to_string(), job.progress.to_json_value()),
     ];
     if let SweepPhase::Done(done) = &*phase {
@@ -377,9 +379,10 @@ fn submit(state: &Arc<ServiceState>, job_id: String, spec: ExperimentSpec) -> Ar
     if let Some(existing) = sweeps.get(&job_id) {
         return Arc::clone(existing);
     }
+    let points = spec.points.len();
     let job = Arc::new(SweepJob {
         id: job_id.clone(),
-        spec,
+        points,
         progress: Arc::new(SweepProgress::new()),
         phase: Mutex::new(SweepPhase::Queued),
         cond: Condvar::new(),
@@ -390,17 +393,15 @@ fn submit(state: &Arc<ServiceState>, job_id: String, spec: ExperimentSpec) -> Ar
     let worker = Arc::clone(&job);
     std::thread::spawn(move || {
         worker.set_phase(SweepPhase::Running);
-        let done =
-            catch_unwind(AssertUnwindSafe(|| run_sweep(&state, &worker))).unwrap_or_else(|_| {
-                SweepDone {
-                    artifact: String::new(),
-                    total: worker.spec.points.len(),
-                    failed: worker.spec.points.len(),
-                    quarantined: worker.spec.points.len(),
-                    failures: vec![error_doc(&format!("sweep {job_id} panicked"), 1)],
-                    store_hits: 0,
-                    store_misses: 0,
-                }
+        let done = catch_unwind(AssertUnwindSafe(|| run_sweep(&state, &worker, &spec)))
+            .unwrap_or_else(|_| SweepDone {
+                artifact: String::new(),
+                total: points,
+                failed: points,
+                quarantined: points,
+                failures: vec![error_doc(&format!("sweep {job_id} panicked"), 1)],
+                store_hits: 0,
+                store_misses: 0,
             });
         worker.set_phase(SweepPhase::Done(Box::new(done)));
     });
@@ -411,8 +412,7 @@ fn submit(state: &Arc<ServiceState>, job_id: String, spec: ExperimentSpec) -> Ar
 /// fresh handle on the daemon's store (fresh so the hit/miss counters are
 /// per-sweep — that is what `submit --wait` reports to its client).
 /// Registered remote workers ride along as executors.
-fn run_sweep(state: &ServiceState, job: &SweepJob) -> SweepDone {
-    let spec = &job.spec;
+fn run_sweep(state: &ServiceState, job: &SweepJob, spec: &ExperimentSpec) -> SweepDone {
     let store = state.store_dir.as_ref().and_then(|d| match ResultStore::open(d) {
         Ok(s) => Some(s),
         Err(e) => {
@@ -560,14 +560,19 @@ fn serve_connection(state: &Arc<ServiceState>, conn: Conn) {
     let mut writer = FrameWriter::new(write);
     let mut control = Some(control);
     let mut greeted = !remote;
+    if remote {
+        // Until the handshake passes, a TCP peer's frame may only be as
+        // large as a `hello` or `register` line can be.
+        reader.set_cap(proto::HANDSHAKE_MAX_FRAME);
+    }
     loop {
         let req = match reader.next_line() {
             Ok(Some(line)) => Request::parse(line),
             Ok(None) => return,
             Err(e) => {
-                // An oversized frame (the MAX_FRAME cap) is a protocol
-                // violation, not a transport failure: tell the peer why
-                // before hanging up.
+                // An oversized frame (MAX_FRAME, or HANDSHAKE_MAX_FRAME
+                // before the handshake) is a protocol violation, not a
+                // transport failure: tell the peer why before hanging up.
                 if e.kind() == std::io::ErrorKind::InvalidData {
                     let _ = writer.send(&Refusal::new(e.to_string()).to_json_value());
                 }
@@ -600,6 +605,7 @@ fn serve_connection(state: &Arc<ServiceState>, conn: Conn) {
                     if writer.send(&hello_ok()).is_err() {
                         return;
                     }
+                    reader.set_cap(proto::MAX_FRAME);
                     let (tx, rx) = std::sync::mpsc::channel();
                     std::thread::spawn(move || proto::pump_lines(reader, tx));
                     state.remotes.register(RemoteHandle::new(writer, control, rx));
@@ -616,6 +622,7 @@ fn serve_connection(state: &Arc<ServiceState>, conn: Conn) {
                 let resp = handle_request(state, req);
                 if hello && resp.body.get("ok").and_then(JsonValue::as_bool) == Some(true) {
                     greeted = true;
+                    reader.set_cap(proto::MAX_FRAME);
                     // Greeted TCP clients may legitimately go quiet (a
                     // `submit --wait` reads for a whole sweep): relax
                     // the handshake deadline now that they are trusted.

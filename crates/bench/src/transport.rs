@@ -20,6 +20,12 @@
 //! handshake there, while Unix sockets (guarded by filesystem
 //! permissions) and pipes (guarded by process ancestry) stay
 //! handshake-optional for byte-compatibility with the pre-network wire.
+//!
+//! Every TCP stream is `TCP_NODELAY`, set in the only two places one is
+//! made ([`Listener::accept`] and [`Conn::connect`]). The wire's
+//! heartbeat-then-reply pattern — a busy worker writes a small `hb` line,
+//! then its reply — otherwise meets Nagle's algorithm: the reply waits
+//! for the peer's delayed ACK of the heartbeat, about 40 ms on Linux.
 
 use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -113,7 +119,7 @@ impl Listener {
     pub fn accept(&self) -> std::io::Result<Conn> {
         match self {
             Listener::Unix { listener, .. } => listener.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(listener) => listener.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(listener) => listener.accept().and_then(|(s, _)| Conn::tcp(s)),
         }
     }
 
@@ -196,8 +202,15 @@ impl Conn {
     pub fn connect(ep: &Endpoint) -> std::io::Result<Conn> {
         match ep {
             Endpoint::Unix(path) => UnixStream::connect(path).map(Conn::Unix),
-            Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).map(Conn::Tcp),
+            Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).and_then(Conn::tcp),
         }
+    }
+
+    /// Wraps a TCP stream with Nagle's algorithm off, so a small line
+    /// written after an unacknowledged one leaves at once.
+    fn tcp(stream: TcpStream) -> std::io::Result<Conn> {
+        stream.set_nodelay(true)?;
+        Ok(Conn::Tcp(stream))
     }
 
     /// Whether the peer is outside this machine's trust boundary (TCP):
@@ -292,6 +305,8 @@ impl ConnControl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{hb_doc, ok_fields, FrameReader, FrameWriter, Request};
+    use xloops_stats::JsonValue;
 
     #[test]
     fn endpoint_parsing_distinguishes_schemes_paths_and_dials() {
@@ -342,6 +357,50 @@ mod tests {
         assert_eq!(&buf, b"ping\n");
         w.write_all(b"pong\n").unwrap();
         assert_eq!(&client.join().unwrap(), b"pong\n");
+    }
+
+    fn tcp_nodelay(conn: &Conn) -> bool {
+        match conn {
+            Conn::Tcp(s) => s.nodelay().expect("read TCP_NODELAY"),
+            _ => panic!("expected a TCP connection"),
+        }
+    }
+
+    #[test]
+    fn heartbeat_then_reply_round_trips_do_not_wait_on_delayed_acks() {
+        // A busy worker answers a job with a small heartbeat line and,
+        // a moment later, a ~2.3 KiB reply. With Nagle's algorithm on,
+        // the reply waits for the client's delayed ACK of the heartbeat
+        // (~40 ms on Linux), so 50 round trips take about 2 s.
+        const ROUNDS: usize = 50;
+        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind port 0");
+        let ep = listener.endpoint();
+        let server = std::thread::spawn(move || {
+            let conn = listener.accept().expect("accept");
+            assert!(tcp_nodelay(&conn), "accepted TCP streams must be TCP_NODELAY");
+            let (r, w, _ctl) = conn.split().expect("split");
+            let (mut reader, mut writer) = (FrameReader::new(r), FrameWriter::new(w));
+            let reply = ok_fields(vec![("artifact", JsonValue::Str("x".repeat(2300)))]);
+            for _ in 0..ROUNDS {
+                reader.next_line().expect("read").expect("a request line");
+                writer.send(&hb_doc()).expect("heartbeat");
+                std::thread::sleep(Duration::from_millis(2));
+                writer.send(&reply).expect("reply");
+            }
+        });
+        let conn = Conn::connect(&ep).expect("dial");
+        assert!(tcp_nodelay(&conn), "dialled TCP streams must be TCP_NODELAY");
+        let (r, w, _ctl) = conn.split().expect("split");
+        let (mut reader, mut writer) = (FrameReader::new(r), FrameWriter::new(w));
+        let start = std::time::Instant::now();
+        for _ in 0..ROUNDS {
+            writer.send(&Request::Ping.to_json_value()).expect("request");
+            let reply = reader.next_reply().expect("reply");
+            assert!(reply.get("artifact").is_some(), "heartbeats are skipped");
+        }
+        let elapsed = start.elapsed();
+        server.join().expect("server thread");
+        assert!(elapsed < Duration::from_secs(1), "{ROUNDS} round trips took {elapsed:?}");
     }
 
     #[test]

@@ -139,3 +139,50 @@ fn concurrent_clients_then_warm_restart() {
     server.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&store_dir);
 }
+
+/// A finished sweep keeps only its report, not its manifest: the bare
+/// `status` listing still names its point count, and a repeat submit of
+/// the same fingerprint answers from the done-sweep memo.
+#[test]
+fn a_finished_sweep_is_listed_and_memoized_without_its_manifest() {
+    let sock = temp_path("memo-sock");
+    let _ = std::fs::remove_file(&sock);
+    let spec = small_spec();
+    let points = spec.points.len() as u64;
+    let daemon =
+        Daemon::bind(ServeConfig::unix(sock.clone(), None, RunOptions::default())).expect("bind");
+    let server = std::thread::spawn(move || daemon.run().expect("daemon run"));
+
+    let first = submit_wait(&sock, &spec);
+    assert_eq!(first.get("state").and_then(JsonValue::as_str), Some("done"));
+
+    let listing = request(
+        &Endpoint::unix(&sock),
+        &JsonValue::object(vec![("cmd", JsonValue::Str("status".to_string()))]),
+    )
+    .expect("status round trip");
+    let jobs = listing.get("jobs").and_then(JsonValue::as_array).expect("jobs array");
+    assert_eq!(jobs.len(), 1);
+    let job = &jobs[0];
+    assert_eq!(job.get("job").and_then(JsonValue::as_str), Some(spec.fingerprint().as_str()));
+    assert_eq!(job.get("state").and_then(JsonValue::as_str), Some("done"));
+    assert_eq!(job.get("points").and_then(JsonValue::as_u64), Some(points));
+    assert_eq!(job.get("done").and_then(JsonValue::as_u64), Some(points));
+
+    // A non-waiting resubmit is answered at once with the stored report.
+    let again = request(
+        &Endpoint::unix(&sock),
+        &JsonValue::object(vec![
+            ("cmd", JsonValue::Str("submit".to_string())),
+            ("manifest", spec.to_json_value()),
+            ("wait", JsonValue::Bool(false)),
+        ]),
+    )
+    .expect("resubmit round trip");
+    assert_eq!(again.get("state").and_then(JsonValue::as_str), Some("done"));
+    assert_eq!(again.get("points").and_then(JsonValue::as_u64), Some(points));
+    assert_eq!(again.get("artifact"), first.get("artifact"), "the memo keeps the artifact");
+
+    shutdown(&sock);
+    assert_eq!(server.join().expect("server thread"), 1, "the resubmit ran no second sweep");
+}

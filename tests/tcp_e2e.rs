@@ -6,8 +6,9 @@
 //! in-process render — including when a remote worker is SIGKILLed
 //! mid-job by the crash-once chaos hook. The handshake gate is pinned
 //! from both sides: raw peers with the wrong protocol version, a wrong
-//! token, or no handshake at all get a typed exit-2 refusal, and a
-//! wrong-token `xloops worker` exits with code 2 itself.
+//! token, no handshake at all, or an oversized first frame get a typed
+//! exit-2 refusal, and a wrong-token `xloops worker` exits with code 2
+//! itself.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -16,7 +17,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use xloops::bench::manifest::{render_spec, run_shard, ExperimentSpec};
-use xloops::bench::proto::request;
+use xloops::bench::proto::{request, HANDSHAKE_MAX_FRAME};
 use xloops::bench::serve::{Daemon, ServeConfig};
 use xloops::bench::transport::Endpoint;
 use xloops::sim::RunOptions;
@@ -287,4 +288,32 @@ fn wrong_version_or_token_tcp_peers_are_refused_with_exit_2() {
     server.join().expect("server thread");
     let _ = good.kill();
     let _ = good.wait();
+}
+
+/// An un-greeted TCP peer gets a handshake-sized frame, not `MAX_FRAME`
+/// (16 MiB): 1 MiB with no newline is refused with the typed exit-2 doc
+/// once the first few KiB arrive, instead of being buffered while the
+/// daemon waits for a newline or the handshake deadline.
+#[test]
+fn an_oversized_first_frame_is_refused_before_it_is_buffered() {
+    let (server, ep, sock) = spawn_daemon("first-frame", None);
+    let addr = match &ep {
+        Endpoint::Tcp(addr) => addr.clone(),
+        _ => unreachable!(),
+    };
+    let conn = TcpStream::connect(&addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut flood = conn.try_clone().expect("clone the stream");
+    // The daemon hangs up mid-stream, so the flood may end in a reset.
+    let writer = std::thread::spawn(move || {
+        let _ = flood.write_all(&vec![b'x'; 1 << 20]);
+    });
+    let mut resp = String::new();
+    BufReader::new(conn).read_line(&mut resp).expect("read the refusal");
+    let doc = JsonValue::parse(&resp).expect("daemon responses are JSON");
+    assert_refused_exit_2(&doc, &format!("{HANDSHAKE_MAX_FRAME} byte cap"));
+    writer.join().expect("flood thread");
+
+    shutdown(&Endpoint::unix(&sock));
+    server.join().expect("server thread");
 }
