@@ -940,6 +940,20 @@ impl PointResult {
         ])
     }
 
+    /// The result as one binary [`PointResult::to_json_value`] document
+    /// (a store record), written straight off the tree: byte-identical
+    /// to `binary::encode(&self.to_json_value())`, with no [`JsonValue`]
+    /// in between.
+    pub fn to_binary(&self) -> Vec<u8> {
+        binary::write(|w| {
+            w.object(2);
+            w.key("error");
+            w.opt_str(self.error.as_deref());
+            w.key("stats");
+            self.stats.write(w);
+        })
+    }
+
     /// Parses a [`PointResult::to_json_value`] document (extra fields,
     /// such as a shard entry's `point`, are ignored).
     pub fn from_json_value(v: &JsonValue) -> Result<PointResult, ManifestError> {

@@ -46,7 +46,7 @@ use xloops_stats::{JsonValue, StatSet};
 use crate::job::{Job, JobState};
 use crate::manifest::{shard_points, ExperimentSpec, PointResult, ShardDoc};
 use crate::runner::{execute, RunFailure, RunKey, Simulation};
-use crate::store::{attach_store_counters, Loaded, ResultStore};
+use crate::store::{attach_store_counters, key_options, keyed, Loaded, ResultStore};
 use crate::worker::{PoolConfig, RemoteRegistry, WireJob, WorkerPool};
 
 /// Runs every item through `run` on a work-stealing pool of `workers`
@@ -74,7 +74,11 @@ pub fn run_jobs<T: Sync, R: Send>(
                 // dry. An item leaves a queue only into the worker that
                 // runs it, so a full empty scan means every item is
                 // claimed and this worker can retire.
-                let claimed = queues[w].lock().unwrap().pop_front().or_else(|| {
+                // The own queue's guard must drop before any other queue
+                // is locked: two dry workers each holding their own lock
+                // while reaching for the other's would deadlock.
+                let own = queues[w].lock().unwrap().pop_front();
+                let claimed = own.or_else(|| {
                     (1..workers).find_map(|d| queues[(w + d) % workers].lock().unwrap().pop_back())
                 });
                 let Some(i) = claimed else { break };
@@ -323,8 +327,11 @@ impl<'a> Scheduler<'a> {
     /// returns, and the outcomes come back in work order with the
     /// deterministic event stream alongside.
     pub fn run(&self, work: &[(&ExperimentSpec, Vec<usize>)]) -> SweepOutcome {
-        let probes: Vec<Probe> =
-            work.iter().map(|(spec, indices)| self.probe(spec, indices.clone())).collect();
+        let key_options = key_options(&self.options);
+        let probes: Vec<Probe> = work
+            .iter()
+            .map(|(spec, indices)| self.probe(spec, indices.clone(), &key_options))
+            .collect();
         if let Some(progress) = &self.progress {
             for p in &probes {
                 progress.admit(p.indices.len() as u64);
@@ -474,12 +481,12 @@ impl<'a> Scheduler<'a> {
         (executed, PrefillInfo { unique_points: sims.len(), workers })
     }
 
-    fn probe(&self, spec: &ExperimentSpec, indices: Vec<usize>) -> Probe {
+    /// Looks up one spec's points in the store. `key_options` is
+    /// [`key_options`] of the sweep's options, rendered once per sweep.
+    fn probe(&self, spec: &ExperimentSpec, indices: Vec<usize>, key_options: &str) -> Probe {
         let fingerprint = spec.fingerprint();
-        let keys: Vec<String> = indices
-            .iter()
-            .map(|&i| ResultStore::point_key(&fingerprint, i, &self.options))
-            .collect();
+        let keys: Vec<String> =
+            indices.iter().map(|&i| keyed(&fingerprint, i, key_options)).collect();
         let (loaded, corrupt) = keys
             .iter()
             .map(|key| match self.store.map(|store| store.load_classified(key)) {
@@ -730,6 +737,29 @@ mod tests {
         let items: Vec<usize> = (0..64).collect();
         let _ = run_jobs(&items, 8, |_, &x| counts[x].fetch_add(1, Ordering::Relaxed));
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn pool_workers_running_dry_together_never_deadlock() {
+        // Sub-microsecond items make every worker run dry, and reach for
+        // the others' queues, at nearly the same moment, round after
+        // round. The rounds run on a thread of their own under a
+        // watchdog, so a hang fails the test instead of stalling it; a
+        // hung thread is left behind, never joined.
+        let (done, watchdog) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let items: Vec<u64> = (0..846).collect();
+            let doubled: Vec<u64> = items.iter().map(|x| x * 2).collect();
+            for (workers, rounds) in [(2, 4000), (8, 500)] {
+                for _ in 0..rounds {
+                    assert_eq!(run_jobs(&items, workers, |_, &x| x * 2), doubled);
+                }
+            }
+            done.send(()).expect("the test thread waits for the rounds");
+        });
+        watchdog
+            .recv_timeout(Duration::from_secs(60))
+            .expect("run_jobs rounds must finish: a timeout is a deadlock");
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! wrongly typed fields; every single-byte flip and every truncation of
 //! an encoded record (checksum resealed, so the structural walk is what
 //! gets tested); and byte soup behind a valid magic.
+//!
+//! Store records are written by the typed path only, too:
+//! `PointResult::to_binary` must write the bytes `binary::encode` makes
+//! of `PointResult::to_json_value`.
 
 use proptest::prelude::*;
 use xloops_bench::manifest::PointResult;
@@ -168,6 +172,12 @@ proptest! {
         }
         body.extend_from_slice(&soup);
         agree(&reseal(body))?;
+    }
+
+    #[test]
+    fn the_typed_writer_writes_what_encode_writes(stats in stats(), failed in any::<bool>()) {
+        let r = PointResult { stats, error: failed.then(|| "wedged \"λ\"".to_string()) };
+        prop_assert_eq!(r.to_binary(), encoded(&r));
     }
 }
 

@@ -38,7 +38,10 @@
 //! arbitrary bytes (same depth guard as the JSON parser). One walker,
 //! [`Cursor`], reads the grammar: [`decode`] builds a [`JsonValue`] with
 //! it, and typed readers such as [`crate::StatSet::from_cursor`] pull
-//! values straight into their own types.
+//! values straight into their own types. One [`Writer`] writes it:
+//! [`encode`] puts a [`JsonValue`] through it, and typed writers such as
+//! [`crate::StatSet::write`] put their own fields, byte-identical to
+//! encoding their [`JsonValue`] form.
 //!
 //! Determinism: encoding is a pure function of the value (key-table order
 //! is first appearance, field order is insertion order), so equal
@@ -127,85 +130,138 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Collects every object key of `v` into `keys` in first-appearance order.
-fn collect_keys<'a>(v: &'a JsonValue, keys: &mut Vec<&'a str>, index: &mut HashMap<&'a str, u64>) {
-    match v {
-        JsonValue::Array(items) => {
-            for item in items {
-                collect_keys(item, keys, index);
-            }
+/// A typed writer of one binary document — the write half of
+/// [`Cursor`]. [`write`] opens one; the typed puts append one value each
+/// to the body, and [`Writer::key`] interns object keys in the order it
+/// meets them, which is the key table's first-appearance order. A writer
+/// that puts the values a [`JsonValue`] holds, in document order, makes
+/// exactly the bytes [`encode`] makes of that value — which is how
+/// [`encode`] itself works — so a typed caller needs no intermediate
+/// tree and no fresh `String` per key.
+///
+/// Containers are written count first: after [`Writer::object`]`(n)`
+/// come exactly `n` pairs of [`Writer::key`] and a value, after
+/// [`Writer::array`]`(n)` exactly `n` values.
+pub struct Writer<'k> {
+    body: Vec<u8>,
+    keys: Vec<&'k str>,
+    index: HashMap<&'k str, u64>,
+}
+
+impl<'k> Writer<'k> {
+    fn null(&mut self) {
+        self.body.push(TAG_NULL);
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.body.push(if b { TAG_TRUE } else { TAG_FALSE });
+    }
+
+    /// Puts a non-negative integer.
+    pub fn u64(&mut self, v: u64) {
+        self.body.push(TAG_UINT);
+        put_varint(&mut self.body, v);
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.body.push(TAG_INT);
+        put_varint(&mut self.body, zigzag(v));
+    }
+
+    /// Puts a float, bit-exact.
+    pub fn f64(&mut self, v: f64) {
+        self.body.push(TAG_FLOAT);
+        self.body.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+
+    /// Puts a string.
+    pub fn str(&mut self, s: &str) {
+        self.body.push(TAG_STR);
+        put_varint(&mut self.body, s.len() as u64);
+        self.body.extend_from_slice(s.as_bytes());
+    }
+
+    /// Puts a string, or `null` for `None`.
+    pub fn opt_str(&mut self, s: Option<&str>) {
+        match s {
+            Some(s) => self.str(s),
+            None => self.null(),
         }
-        JsonValue::Object(fields) => {
-            for (k, item) in fields {
-                if !index.contains_key(k.as_str()) {
-                    index.insert(k.as_str(), keys.len() as u64);
-                    keys.push(k.as_str());
+    }
+
+    /// Opens an array of `len` values.
+    pub fn array(&mut self, len: usize) {
+        self.body.push(TAG_ARRAY);
+        put_varint(&mut self.body, len as u64);
+    }
+
+    /// Opens an object of `len` fields.
+    pub fn object(&mut self, len: usize) {
+        self.body.push(TAG_OBJECT);
+        put_varint(&mut self.body, len as u64);
+    }
+
+    /// Puts the key of the next object field, interning it on first use.
+    pub fn key(&mut self, key: &'k str) {
+        let next = self.keys.len() as u64;
+        let i = *self.index.entry(key).or_insert(next);
+        if i == next {
+            self.keys.push(key);
+        }
+        put_varint(&mut self.body, i);
+    }
+
+    /// Puts one [`JsonValue`], whole.
+    fn value(&mut self, v: &'k JsonValue) {
+        match v {
+            JsonValue::Null => self.null(),
+            JsonValue::Bool(b) => self.bool(*b),
+            JsonValue::UInt(n) => self.u64(*n),
+            JsonValue::Int(n) => self.i64(*n),
+            JsonValue::Float(f) => self.f64(*f),
+            JsonValue::Str(s) => self.str(s),
+            JsonValue::Array(items) => {
+                self.array(items.len());
+                for item in items {
+                    self.value(item);
                 }
-                collect_keys(item, keys, index);
+            }
+            JsonValue::Object(fields) => {
+                self.object(fields.len());
+                for (k, item) in fields {
+                    self.key(k);
+                    self.value(item);
+                }
             }
         }
-        _ => {}
     }
 }
 
-fn put_value(out: &mut Vec<u8>, v: &JsonValue, index: &HashMap<&str, u64>) {
-    match v {
-        JsonValue::Null => out.push(TAG_NULL),
-        JsonValue::Bool(false) => out.push(TAG_FALSE),
-        JsonValue::Bool(true) => out.push(TAG_TRUE),
-        JsonValue::UInt(n) => {
-            out.push(TAG_UINT);
-            put_varint(out, *n);
-        }
-        JsonValue::Int(n) => {
-            out.push(TAG_INT);
-            put_varint(out, zigzag(*n));
-        }
-        JsonValue::Float(f) => {
-            out.push(TAG_FLOAT);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        JsonValue::Str(s) => {
-            out.push(TAG_STR);
-            put_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-        JsonValue::Array(items) => {
-            out.push(TAG_ARRAY);
-            put_varint(out, items.len() as u64);
-            for item in items {
-                put_value(out, item, index);
-            }
-        }
-        JsonValue::Object(fields) => {
-            out.push(TAG_OBJECT);
-            put_varint(out, fields.len() as u64);
-            for (k, item) in fields {
-                put_varint(out, index[k.as_str()]);
-                put_value(out, item, index);
-            }
-        }
+/// Writes one whole document: opens a [`Writer`], lets `root` put the
+/// root value, then seals the header, key table, body and checksum.
+pub fn write<'k>(root: impl FnOnce(&mut Writer<'k>)) -> Vec<u8> {
+    let mut w = Writer { body: Vec::with_capacity(1024), keys: Vec::new(), index: HashMap::new() };
+    root(&mut w);
+    // Capacity only: a key's length varint is one or two bytes in practice.
+    let table: usize = w.keys.iter().map(|k| k.len() + 2).sum();
+    let mut out = Vec::with_capacity(MAGIC.len() + 1 + 10 + table + w.body.len() + 8);
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    put_varint(&mut out, w.keys.len() as u64);
+    for k in &w.keys {
+        put_varint(&mut out, k.len() as u64);
+        out.extend_from_slice(k.as_bytes());
     }
+    out.extend_from_slice(&w.body);
+    let check = fnv1a64(&out);
+    out.extend_from_slice(&check.to_le_bytes());
+    out
 }
 
 /// Encodes `v` as one binary document (header, interned key table, value,
 /// trailing checksum). Deterministic: equal values yield identical bytes.
 pub fn encode(v: &JsonValue) -> Vec<u8> {
-    let mut keys = Vec::new();
-    let mut index = HashMap::new();
-    collect_keys(v, &mut keys, &mut index);
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    put_varint(&mut out, keys.len() as u64);
-    for k in &keys {
-        put_varint(&mut out, k.len() as u64);
-        out.extend_from_slice(k.as_bytes());
-    }
-    put_value(&mut out, v, &index);
-    let check = fnv1a64(&out);
-    out.extend_from_slice(&check.to_le_bytes());
-    out
+    write(|w| w.value(v))
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@
 //! wrongly typed fields; every single-byte flip and every truncation of
 //! an encoded node (checksum resealed, so the structural walk is what
 //! gets tested); and byte soup behind a valid magic.
+//!
+//! The write side is held to the same standard: [`StatSet::to_binary`]
+//! writes through `binary::Writer` with no `JsonValue` in between, and
+//! its bytes must equal `binary::encode` of the tree's `JsonValue` and
+//! a two-pass reference encoder of the grammar, on trees with schema
+//! and non-schema names, deep children, and every class of float.
 
 use proptest::prelude::*;
 use xloops_stats::{binary, JsonValue, StatSet};
@@ -226,4 +232,226 @@ fn clean_node() -> StatSet {
     let mut s = StatSet::new("system");
     s.set("cycles", 10).set_metric("ipc", 0.5);
     s
+}
+
+/// The binary grammar encoded the obvious way, in two passes — every
+/// object key into a first-appearance table, then the values — as the
+/// format module describes it. The reference the one-pass writer and
+/// `binary::encode` are held to.
+fn reference_encode(v: &JsonValue) -> Vec<u8> {
+    fn keys<'a>(v: &'a JsonValue, table: &mut Vec<&'a str>) {
+        match v {
+            JsonValue::Array(items) => items.iter().for_each(|item| keys(item, table)),
+            JsonValue::Object(fields) => {
+                for (k, item) in fields {
+                    if !table.contains(&k.as_str()) {
+                        table.push(k);
+                    }
+                    keys(item, table);
+                }
+            }
+            _ => {}
+        }
+    }
+    fn varint(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    fn value(out: &mut Vec<u8>, v: &JsonValue, table: &[&str]) {
+        match v {
+            JsonValue::Null => out.push(0x00),
+            JsonValue::Bool(b) => out.push(if *b { 0x02 } else { 0x01 }),
+            JsonValue::UInt(n) => {
+                out.push(0x03);
+                varint(out, *n);
+            }
+            JsonValue::Int(n) => {
+                out.push(0x04);
+                varint(out, ((n << 1) ^ (n >> 63)) as u64);
+            }
+            JsonValue::Float(f) => {
+                out.push(0x05);
+                out.extend_from_slice(&f.to_bits().to_le_bytes());
+            }
+            JsonValue::Str(s) => {
+                out.push(0x06);
+                varint(out, s.len() as u64);
+                out.extend_from_slice(s.as_bytes());
+            }
+            JsonValue::Array(items) => {
+                out.push(0x07);
+                varint(out, items.len() as u64);
+                items.iter().for_each(|item| value(out, item, table));
+            }
+            JsonValue::Object(fields) => {
+                out.push(0x08);
+                varint(out, fields.len() as u64);
+                for (k, item) in fields {
+                    varint(out, table.iter().position(|t| t == k).unwrap() as u64);
+                    value(out, item, table);
+                }
+            }
+        }
+    }
+    let mut table = Vec::new();
+    keys(v, &mut table);
+    let mut out = binary::MAGIC.to_vec();
+    out.push(binary::VERSION);
+    varint(&mut out, table.len() as u64);
+    for k in &table {
+        varint(&mut out, k.len() as u64);
+        out.extend_from_slice(k.as_bytes());
+    }
+    value(&mut out, v, &table);
+    reseal(out)
+}
+
+/// Schema names, which a tree stores interned, and names outside the
+/// schema, which it stores owned.
+fn mixed_name() -> BoxedStrategy<String> {
+    prop::sample::select(vec![
+        "cycles",
+        "ipc",
+        "lpsu",
+        "stalls",
+        "raw",
+        "energy_nj",
+        "profile",
+        "name",
+        "counters",
+        "not-a-stat",
+        "λ-😀",
+        "",
+        "cycles2",
+        "Cycles",
+    ])
+    .prop_map(str::to_string)
+    .boxed()
+}
+
+/// Every float class: NaN, ±0, ±∞, subnormals, and raw bit patterns.
+fn any_float() -> BoxedStrategy<f64> {
+    prop_oneof![
+        prop::sample::select(vec![
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 2.0,
+            2.5,
+        ]),
+        any::<u64>().prop_map(f64::from_bits),
+    ]
+    .boxed()
+}
+
+/// A stat tree built through the public setters (so duplicates overwrite
+/// in place), two levels of bushy children, then wrapped in a chain of
+/// up to 50 single-child parents.
+fn tree() -> BoxedStrategy<StatSet> {
+    fn node(depth: usize) -> BoxedStrategy<StatSet> {
+        let children = if depth == 0 {
+            Just(Vec::new()).boxed()
+        } else {
+            prop::collection::vec(node(depth - 1), 0..3).boxed()
+        };
+        (
+            mixed_name(),
+            prop::collection::vec((mixed_name(), any::<u64>()), 0..6),
+            prop::collection::vec((mixed_name(), any_float()), 0..6),
+            children,
+        )
+            .prop_map(|(name, counters, metrics, children)| {
+                let mut s = StatSet::new(&name);
+                for (n, v) in counters {
+                    s.set(&n, v);
+                }
+                for (n, v) in metrics {
+                    s.set_metric(&n, v);
+                }
+                for c in children {
+                    s.push_child(c);
+                }
+                s
+            })
+            .boxed()
+    }
+    (node(2), prop::collection::vec(mixed_name(), 0..50))
+        .prop_map(|(mut s, parents)| {
+            for name in parents {
+                let mut parent = StatSet::new(&name);
+                parent.push_child(s);
+                s = parent;
+            }
+            s
+        })
+        .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn the_typed_writer_writes_what_encode_writes(s in tree()) {
+        let v = s.to_json_value();
+        let typed = s.to_binary();
+        prop_assert_eq!(&typed, &binary::encode(&v));
+        prop_assert_eq!(&typed, &reference_encode(&v));
+    }
+
+    #[test]
+    fn typed_decode_equals_the_json_value_path_on_trees(s in tree()) {
+        let bytes = s.to_binary();
+        let typed = StatSet::from_binary(&bytes).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let tree = StatSet::from_json_value(&s.to_json_value())
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        // Bytes, not `==`: NaN metrics survive bit for bit but are never
+        // equal to themselves.
+        prop_assert_eq!(typed.to_binary(), tree.to_binary());
+        prop_assert_eq!(typed.to_binary(), bytes);
+    }
+}
+
+#[test]
+fn decoding_folds_duplicates_like_the_setters_on_short_and_long_nodes() {
+    // 12 and 400 entries cycling through fewer distinct names, schema and
+    // owned alike: a later duplicate's value lands in the first one's
+    // position, on both sides of the pairwise/hash-index switch.
+    for (entries, distinct) in [(12, 5), (400, 90)] {
+        let names: Vec<String> = (0..distinct)
+            .map(|i| {
+                if i % 2 == 0 {
+                    format!("c{i}")
+                } else {
+                    ["cycles", "ipc", "raw"][i % 3].to_string()
+                }
+            })
+            .collect();
+        let mut expect = StatSet::new("system");
+        let (mut counters, mut metrics, mut children) = (vec![], vec![], vec![]);
+        for e in 0..entries {
+            let n = &names[(e * 7) % distinct];
+            expect.set(n, e as u64).set_metric(n, e as f64 / 2.0);
+            let mut child = StatSet::new(n);
+            child.set("exec", e as u64);
+            expect.push_child(child.clone());
+            counters.push((n.clone(), JsonValue::UInt(e as u64)));
+            metrics.push((n.clone(), JsonValue::Float(e as f64 / 2.0)));
+            children.push(child.to_json_value());
+        }
+        let doc = JsonValue::object(vec![
+            ("name", JsonValue::Str("system".into())),
+            ("counters", JsonValue::Object(counters)),
+            ("metrics", JsonValue::Object(metrics)),
+            ("children", JsonValue::Array(children)),
+        ]);
+        assert_eq!(StatSet::from_json_value(&doc).unwrap(), expect, "{entries} entries, tree path");
+        let typed = StatSet::from_binary(&binary::encode(&doc)).unwrap();
+        assert_eq!(typed, expect, "{entries} entries, typed path");
+    }
 }
