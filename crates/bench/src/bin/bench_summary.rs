@@ -1,7 +1,8 @@
 //! `bench-summary`: the machine-readable performance trajectory.
 //!
 //! Times every table-2 kernel on four representative design points (io
-//! and ooo/4, traditional and specialized), the threaded-code functional
+//! and ooo/4, traditional and specialized; each point is run five times
+//! and keeps its least wall time), the threaded-code functional
 //! engine (`mode: "functional"`, host MIPS) over the same kernels plus
 //! the scaled variants, and interval-sampled simulation on io+x
 //! (`sampled`: extrapolated vs full cycle counts, relative error, error
@@ -74,6 +75,9 @@ struct SampledPoint {
 /// (see `tests/sampling_accuracy.rs`).
 const SAMPLE_SPEC: &str = "10000:2000:10000";
 
+/// Runs of each per-kernel design point; the least wall time is recorded.
+const REPEATS: usize = 5;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let end_to_end = parse_args(&args).and_then(|[change, parent]| {
@@ -101,31 +105,31 @@ fn main() {
     let mut errors: Vec<JsonValue> = Vec::new();
     for kernel in table2() {
         for (config, mode) in design_points {
-            let t = Instant::now();
+            let what = format!("{} on {} ({})", kernel.name, config.name(), mode_tag(mode));
             // Panic firewall: a sick point lands in the `errors` section of
             // the JSON instead of killing the whole summary.
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_kernel(kernel, config, mode)
+                (0..REPEATS)
+                    .map(|_| {
+                        let t = Instant::now();
+                        let r = run_kernel(kernel, config, mode);
+                        Point {
+                            kernel: kernel.name,
+                            config: config.name(),
+                            mode: mode_tag(mode),
+                            wall_s: t.elapsed().as_secs_f64(),
+                            sim_cycles: r.cycles,
+                            profile: r.stats.profile,
+                        }
+                    })
+                    .collect()
             }));
-            match caught {
-                Ok(r) => points.push(Point {
-                    kernel: kernel.name,
-                    config: config.name(),
-                    mode: mode_tag(mode),
-                    wall_s: t.elapsed().as_secs_f64(),
-                    sim_cycles: r.cycles,
-                    profile: r.stats.profile,
-                }),
-                Err(payload) => {
-                    let message = format!(
-                        "{} on {} ({}): {}",
-                        kernel.name,
-                        config.name(),
-                        mode_tag(mode),
-                        panic_message(payload)
-                    );
-                    errors.push(error_doc(&message, 1));
-                }
+            let folded = caught
+                .map_err(|payload| format!("{what}: {}", panic_message(payload)))
+                .and_then(|runs| fold_repeats(&what, runs));
+            match folded {
+                Ok(point) => points.push(point),
+                Err(message) => errors.push(error_doc(&message, 1)),
             }
         }
     }
@@ -216,6 +220,19 @@ fn main() {
         sampled.len(),
         path.display()
     );
+}
+
+/// Folds the repeats of one design point into its record: the least wall
+/// time (with that run's profile), so one slow warm-up run does not read
+/// as a regression, and the simulated cycles, which every repeat must
+/// agree on — a mismatch is a determinism bug, reported as an error.
+fn fold_repeats(what: &str, runs: Vec<Point>) -> Result<Point, String> {
+    let cycles = runs[0].sim_cycles;
+    if let Some(other) = runs.iter().find(|p| p.sim_cycles != cycles) {
+        let other = other.sim_cycles;
+        return Err(format!("{what}: nondeterministic sim_cycles ({cycles} vs {other})"));
+    }
+    Ok(runs.into_iter().min_by(|a, b| a.wall_s.total_cmp(&b.wall_s)).expect("at least one run"))
 }
 
 /// Times the fast-forward engine end to end on one kernel (repeated runs,
@@ -599,6 +616,25 @@ mod tests {
         let base = tcp.get("parent").and_then(|p| p.get("metrics")).expect("parent entry");
         let base = base.get("sweep_s_p50").and_then(|m| m.get("median"));
         assert_eq!(base.and_then(JsonValue::as_f64), Some(0.155));
+    }
+
+    #[test]
+    fn repeats_fold_to_the_fastest_run_and_reject_cycle_mismatches() {
+        let run = |wall_s, sim_cycles, gpp_ns| Point {
+            kernel: "k",
+            config: "io".to_string(),
+            mode: "traditional",
+            wall_s,
+            sim_cycles,
+            profile: Some(ProfileStats { gpp_ns, ..ProfileStats::default() }),
+        };
+        let runs = vec![run(0.003, 700, 3), run(0.001, 700, 1), run(0.002, 700, 2)];
+        let fastest = fold_repeats("k", runs).expect("deterministic");
+        assert_eq!((fastest.wall_s, fastest.sim_cycles), (0.001, 700), "least wall, agreed cycles");
+        assert_eq!(fastest.profile.map(|p| p.gpp_ns), Some(1), "the fastest run's profile");
+        let drift = vec![run(0.001, 700, 0), run(0.002, 701, 0)];
+        let message = fold_repeats("k on io (traditional)", drift).err().expect("mismatch");
+        assert!(message.contains("k on io (traditional)") && message.contains("701"), "{message}");
     }
 
     #[test]

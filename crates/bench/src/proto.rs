@@ -41,9 +41,10 @@
 //!
 //! ## Handshake
 //!
-//! Unix sockets and pipes are guarded by filesystem permissions and
-//! process ancestry, so their wire bytes are exactly the pre-network
-//! protocol: no handshake required (one is still *answered* if sent).
+//! Unix sockets are guarded by filesystem permissions, so their wire
+//! bytes are exactly the pre-network protocol: no handshake required (one
+//! is still *answered* if sent). A worker pool's private socket is the
+//! exception that proves the rule: its children always `register`.
 //! TCP crosses a real trust boundary: the first line of every TCP
 //! connection must be `hello` (clients) or `register` (remote workers)
 //! carrying the protocol version [`PROTO_VERSION`] and, when the daemon

@@ -59,7 +59,7 @@ use crate::proto::{
 use crate::sched::{Scheduler, SweepProgress};
 use crate::store::ResultStore;
 use crate::transport::{Conn, Endpoint, Listener};
-use crate::worker::{RemoteHandle, RemoteRegistry};
+use crate::worker::{self, RemoteRegistry};
 
 /// Resolves the daemon endpoint: an explicit `--sock` value wins,
 /// otherwise `XLOOPS_SOCK`. Both accept a Unix socket path or a
@@ -225,10 +225,6 @@ impl ServiceState {
     pub fn remotes(&self) -> &Arc<RemoteRegistry> {
         &self.remotes
     }
-
-    fn handshake(&self, version: u64, token: Option<&str>) -> Result<(), Refusal> {
-        check_handshake(version, token, self.token.as_deref())
-    }
 }
 
 /// One response line plus whether the daemon should stop accepting.
@@ -318,10 +314,12 @@ pub fn handle_request(state: &Arc<ServiceState>, req: Request) -> Response {
             shutdown: true,
             wait: None,
         },
-        Request::Hello { version, token } => match state.handshake(version, token.as_deref()) {
-            Ok(()) => Response { body: hello_ok(), shutdown: false, wait: None },
-            Err(refusal) => refuse(refusal.message),
-        },
+        Request::Hello { version, token } => {
+            match check_handshake(version, token.as_deref(), state.token.as_deref()) {
+                Ok(()) => Response { body: hello_ok(), shutdown: false, wait: None },
+                Err(refusal) => refuse(refusal.message),
+            }
+        }
         Request::Status { job: None } => {
             let sweeps = state.sweeps.lock().unwrap();
             let mut ids: Vec<&String> = sweeps.keys().collect();
@@ -592,27 +590,12 @@ fn serve_connection(state: &Arc<ServiceState>, conn: Conn) {
         // `register` rebinds the connection as a worker: handshake, ack,
         // then hand the split halves to the registry and leave the loop.
         if let Ok(Request::Register { version, token }) = &req {
-            match state.handshake(*version, token.as_deref()) {
-                Ok(()) => {
-                    let control = control.take().expect("control handle unused until handoff");
-                    // A registered worker may idle for hours between
-                    // jobs: the handshake deadline comes off, and the
-                    // pool's two-clock supervision owns liveness.
-                    if let Err(e) = control.set_timeout(None) {
-                        eprintln!("[serve] cannot clear handshake deadline: {e}");
-                        return;
-                    }
-                    if writer.send(&hello_ok()).is_err() {
-                        return;
-                    }
-                    reader.set_cap(proto::MAX_FRAME);
-                    let (tx, rx) = std::sync::mpsc::channel();
-                    std::thread::spawn(move || proto::pump_lines(reader, tx));
-                    state.remotes.register(RemoteHandle::new(writer, control, rx));
-                }
-                Err(refusal) => {
-                    let _ = writer.send(&refusal.to_json_value());
-                }
+            let control = control.take().expect("control handle unused until handoff");
+            let want = state.token.as_deref();
+            if let Ok(handle) =
+                worker::register(reader, writer, control, *version, token.as_deref(), want)
+            {
+                state.remotes.register(handle);
             }
             return;
         }

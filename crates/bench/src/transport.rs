@@ -2,13 +2,13 @@
 //!
 //! [`crate::proto`] owns *what* travels on the wire (framed NDJSON,
 //! deadlines, heartbeats); this module owns *where* it travels. A
-//! [`Conn`] is one bidirectional byte stream — a Unix socket, a TCP
-//! socket, or a child process's stdin/stdout pipe pair — and a
-//! [`Listener`] accepts them, so `serve_connection` and the worker
-//! supervisor are transport-blind: the same daemon loop serves a local
-//! CLI over the Unix socket and a cross-machine client over TCP, and the
-//! same supervision machinery drives a piped child worker and a remote
-//! `xloops worker --connect` executor.
+//! [`Conn`] is one bidirectional byte stream — a Unix socket or a TCP
+//! socket — and a [`Listener`] accepts them, so `serve_connection` and
+//! the worker supervisor are transport-blind: the same daemon loop serves
+//! a local CLI over the Unix socket and a cross-machine client over TCP,
+//! and the same supervision machinery drives a pool's own child worker
+//! (registered on the pool's private Unix socket) and a remote `xloops
+//! worker --connect` executor.
 //!
 //! Addresses are [`Endpoint`]s: a `tcp://HOST:PORT` string names a TCP
 //! endpoint, anything else is a Unix socket path. Dial-style strings
@@ -18,8 +18,8 @@
 //! TCP is the only transport that crosses a trust boundary
 //! ([`Conn::is_remote`]): the protocol layer requires a version/token
 //! handshake there, while Unix sockets (guarded by filesystem
-//! permissions) and pipes (guarded by process ancestry) stay
-//! handshake-optional for byte-compatibility with the pre-network wire.
+//! permissions) stay handshake-optional for byte-compatibility with the
+//! pre-network wire.
 //!
 //! Every TCP stream is `TCP_NODELAY`, set in the only two places one is
 //! made ([`Listener::accept`] and [`Conn::connect`]). The wire's
@@ -188,13 +188,6 @@ pub enum Conn {
     Unix(UnixStream),
     /// A TCP connection (remote clients and remote workers).
     Tcp(TcpStream),
-    /// A child process's pipe pair (the worker pool's spawn route).
-    Pipe {
-        /// The receiving half (the peer's stdout).
-        read: Box<dyn Read + Send>,
-        /// The sending half (the peer's stdin).
-        write: Box<dyn Write + Send>,
-    },
 }
 
 impl Conn {
@@ -219,9 +212,7 @@ impl Conn {
         matches!(self, Conn::Tcp(_))
     }
 
-    /// Sets the read *and* write deadline. Pipes have no socket deadline
-    /// (the worker supervisor polices them with its own two clocks), so
-    /// this is a no-op there.
+    /// Sets the read *and* write deadline.
     pub fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         match self {
             Conn::Unix(s) => {
@@ -232,75 +223,40 @@ impl Conn {
                 s.set_read_timeout(timeout)?;
                 s.set_write_timeout(timeout)
             }
-            Conn::Pipe { .. } => Ok(()),
         }
     }
 
+    /// Shuts the connection down in both directions; the peer observes
+    /// EOF.
+    pub fn shutdown(&self) {
+        let _ = match self {
+            Conn::Unix(s) => s.shutdown(Shutdown::Both),
+            Conn::Tcp(s) => s.shutdown(Shutdown::Both),
+        };
+    }
+
     /// Splits into independently owned read/write halves plus a control
-    /// handle (sockets share one file description via `try_clone`, so
-    /// deadlines set on any handle govern all of them).
+    /// handle on the same socket, which can hang it up mid-read (reaping
+    /// a remote worker) or re-arm its deadlines after a handshake. All
+    /// three share one file description via `try_clone`, so deadlines set
+    /// on any of them govern all of them.
     pub fn split(self) -> std::io::Result<SplitConn> {
         match self {
             Conn::Unix(s) => {
                 let (w, c) = (s.try_clone()?, s.try_clone()?);
-                Ok((Box::new(s), Box::new(w), ConnControl::Unix(c)))
+                Ok((Box::new(s), Box::new(w), Conn::Unix(c)))
             }
             Conn::Tcp(s) => {
                 let (w, c) = (s.try_clone()?, s.try_clone()?);
-                Ok((Box::new(s), Box::new(w), ConnControl::Tcp(c)))
+                Ok((Box::new(s), Box::new(w), Conn::Tcp(c)))
             }
-            Conn::Pipe { read, write } => Ok((read, write, ConnControl::Pipe)),
         }
     }
 }
 
 /// The owned halves of a split [`Conn`]: boxed reader, boxed writer, and
-/// the out-of-band control handle.
-pub type SplitConn = (Box<dyn Read + Send>, Box<dyn Write + Send>, ConnControl);
-
-/// Out-of-band control over a split [`Conn`]: hang up a socket mid-read
-/// (reaping a remote worker) or re-arm its deadlines after a handshake.
-pub enum ConnControl {
-    /// Control handle on a Unix socket.
-    Unix(UnixStream),
-    /// Control handle on a TCP socket.
-    Tcp(TcpStream),
-    /// Pipes have no control plane (drop the halves instead).
-    Pipe,
-}
-
-impl ConnControl {
-    /// Shuts the connection down in both directions; the peer observes
-    /// EOF. No-op for pipes.
-    pub fn shutdown(&self) {
-        match self {
-            ConnControl::Unix(s) => {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-            ConnControl::Tcp(s) => {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-            ConnControl::Pipe => {}
-        }
-    }
-
-    /// Re-arms (or clears) the socket deadlines — e.g. a remote worker
-    /// dials with an ack deadline, then clears it to wait for jobs that
-    /// may arrive hours later.
-    pub fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            ConnControl::Unix(s) => {
-                s.set_read_timeout(timeout)?;
-                s.set_write_timeout(timeout)
-            }
-            ConnControl::Tcp(s) => {
-                s.set_read_timeout(timeout)?;
-                s.set_write_timeout(timeout)
-            }
-            ConnControl::Pipe => Ok(()),
-        }
-    }
-}
+/// the control handle.
+pub type SplitConn = (Box<dyn Read + Send>, Box<dyn Write + Send>, Conn);
 
 #[cfg(test)]
 mod tests {
@@ -328,11 +284,8 @@ mod tests {
 
     #[test]
     fn only_tcp_is_remote() {
-        let (a, b) = UnixStream::pair().expect("socketpair");
+        let (a, _b) = UnixStream::pair().expect("socketpair");
         assert!(!Conn::Unix(a).is_remote());
-        assert!(
-            !Conn::Pipe { read: Box::new(b.try_clone().unwrap()), write: Box::new(b) }.is_remote()
-        );
     }
 
     #[test]

@@ -1,83 +1,90 @@
-//! The crash-isolation layer: a supervised worker pool over pluggable
-//! transports.
+//! The crash-isolation layer: a supervised worker pool over one
+//! transport.
 //!
 //! The scheduler historically ran every simulation as a thread inside the
 //! calling process, so one aborting or wedging point could take down a
 //! whole `xloops serve` daemon and every attached `--wait` client. This
-//! module moves job *execution* into disposable workers — spawned child
-//! processes on stdin/stdout pipes, or remote `xloops worker --connect`
-//! processes on TCP — while leaving job *identity and ordering* exactly
-//! where they were: the parent still owns the store probe, the
-//! item-ordered result slots, and the artifact render, so artifacts are
-//! byte-identical whether a job ran in-process, in a child, on a remote
-//! machine, or across worker deaths.
+//! module moves job *execution* into disposable `xloops worker` processes
+//! while leaving job *identity and ordering* exactly where they were: the
+//! parent still owns the store probe, the item-ordered result slots, and
+//! the artifact render, so artifacts are byte-identical whether a job ran
+//! in-process, in a child, on a remote machine, or across worker deaths.
+//!
+//! ## One transport
+//!
+//! Every worker is a connection that dialled in and completed the one
+//! `register` handshake ([`register`]). A remote `xloops worker --connect
+//! HOST:PORT` registers with a daemon, whose [`RemoteRegistry`] lends it
+//! to sweeps. A pool that may spawn children owns a private Unix listener
+//! in a fresh mode-0700 directory and spawns `xloops worker` with
+//! `XLOOPS_CONNECT` naming that socket, so the child takes the same
+//! [`worker_connect`] path as a remote. The directory's permissions are
+//! the listener's trust boundary (it asks for no token), and it admits
+//! nothing but a `register` first frame within
+//! [`proto::HANDSHAKE_MAX_FRAME`]. The pool removes it when it drops.
 //!
 //! ## Wire protocol
 //!
 //! Workers speak the worker half of the unified protocol
-//! ([`crate::proto`]): `ping` / `manifest` / `job` / `exit` requests,
-//! `{"ok":...}` replies, `{"hb":true}` heartbeats. A job is shipped as
-//! the store-key triple — `(fingerprint, index, options)`, see
-//! [`crate::job::Job`] — against a manifest registered once per worker.
-//! The worker executes the point through the *same* code path as an
-//! in-process run ([`Simulation::of_point`] + [`execute`]), so diagnosis
-//! messages, stats, and the rendered [`PointResult`] are bit-identical; a
-//! typed [`SimError`] additionally ships its class exit code, which the
-//! parent re-wraps as [`SimError::Remote`] so error documents keep their
-//! original codes.
+//! ([`crate::proto`]): `manifest` / `job` / `exit` requests, `{"ok":...}`
+//! replies, `{"hb":true}` heartbeats. A job is shipped as the store-key
+//! triple — `(fingerprint, index, options)`, see [`crate::job::Job`] —
+//! against a manifest registered once per worker. The worker executes the
+//! point through the *same* code path as an in-process run
+//! ([`Simulation::of_point`] + [`execute`]), so diagnosis messages, stats,
+//! and the rendered [`PointResult`] are bit-identical; a typed
+//! [`SimError`] additionally ships its class exit code, which the parent
+//! re-wraps as [`SimError::Remote`] so error documents keep their original
+//! codes.
 //!
 //! ## Supervision
 //!
-//! The parent supervises each worker with two clocks: a heartbeat line
-//! every 250 ms (a worker silent past [`PoolConfig::heartbeat_grace`] is
-//! presumed hung) and an optional per-attempt job deadline
-//! (`XLOOPS_JOB_TIMEOUT`, default off so determinism-sensitive tests
-//! never race a timer). A worker that exits (SIGKILL, abort, OOM),
-//! wedges, or writes garbage is killed and reaped, and its job is retried
-//! on a fresh worker after a seeded exponential backoff
+//! A reply wait runs under two clocks: heartbeats, which a worker writes
+//! every 250 ms only while serving a request (silence past
+//! [`PoolConfig::heartbeat_grace`] means hung), and an optional per-attempt
+//! job deadline (`XLOOPS_JOB_TIMEOUT`, default off so
+//! determinism-sensitive tests never race a timer). A worker that exits
+//! (SIGKILL, abort, OOM, a severed link), wedges, or writes garbage is hung
+//! up on — and killed and reaped if the pool spawned it — and its job is
+//! retried on a fresh worker after a seeded exponential backoff
 //! ([`backoff_delay`]) up to [`PoolConfig::max_retries`] retries. An
-//! exhausted job is quarantined through the existing lifecycle with a
-//! typed [`SimError::WorkerLost`] / [`SimError::Timeout`] error document;
-//! the sweep itself always completes.
-//!
-//! Remote workers inherit the whole machinery: a registered connection
-//! checks out of the daemon's [`RemoteRegistry`] like a spawned child,
-//! runs the same manifest-once-per-fingerprint protocol under the same
-//! two clocks, and a yanked network cable is just another reaped worker —
-//! the job retries (on another remote, or a local child when spawning is
-//! allowed) and the artifact bytes cannot tell. Piped children heartbeat
-//! unconditionally; a remote worker heartbeats only while busy, so an
-//! idle registered executor writes nothing and the registry stays cheap.
+//! exhausted job is quarantined with a typed [`SimError::WorkerLost`] /
+//! [`SimError::Timeout`] error document; the sweep always completes.
+//! Registered remotes are preferred over spawning children, and every
+//! spawned child is reaped before [`WorkerPool::run`] returns.
 //!
 //! ## Degradation rule
 //!
-//! [`WorkerPool::spawn`] handshakes with a probe worker before the pool
-//! is trusted. If the worker binary cannot be spawned or does not speak
-//! the protocol (wrong executable, exec restrictions), the scheduler
-//! falls back to the existing in-process threads with a warning —
-//! `xloops sweep/all/serve` never regress just because process isolation
-//! is unavailable.
+//! [`WorkerPool::spawn`] spawns a probe child and waits for its
+//! `register` before the pool is trusted. If the worker binary cannot be
+//! spawned or never registers (wrong executable, exec restrictions), the
+//! scheduler falls back to the existing in-process threads with a warning
+//! — `xloops sweep/all/serve` never regress just because process
+//! isolation is unavailable.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
+use std::os::unix::fs::DirBuilderExt;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use xloops_sim::{RunOptions, SimError, SystemStats};
 use xloops_stats::JsonValue;
 
 use crate::manifest::{ExperimentSpec, PointResult};
 use crate::proto::{
-    self, hb_doc, is_heartbeat, job_request, manifest_request, register_request, token_from_env,
-    FrameReader, FrameWriter, Refusal, Request, ACK_DEADLINE, HEARTBEAT_PERIOD,
+    self, check_handshake, hb_doc, hello_ok, is_heartbeat, job_request, manifest_request,
+    register_request, token_from_env, FrameReader, FrameWriter, Refusal, Request, ACK_DEADLINE,
+    HEARTBEAT_PERIOD,
 };
 use crate::runner::{execute, Simulation};
 use crate::sched::SweepProgress;
-use crate::transport::{Conn, ConnControl, Endpoint};
+use crate::transport::{Conn, Endpoint};
 use crate::RunResult;
 
 /// How long a dispatcher without local spawning waits for a remote worker
@@ -97,8 +104,8 @@ pub struct PoolConfig {
     /// Retries after the first attempt before a job is quarantined
     /// (`XLOOPS_MAX_RETRIES`, default 2).
     pub max_retries: u32,
-    /// How long a worker may go without writing any line (heartbeat or
-    /// reply) before it is presumed hung and reaped.
+    /// How long a busy worker may go without writing any line (heartbeat
+    /// or reply) before it is presumed hung and reaped.
     pub heartbeat_grace: Duration,
     /// Base delay of the seeded exponential backoff between retries.
     pub backoff_base: Duration,
@@ -242,31 +249,51 @@ impl Loss {
     }
 }
 
-/// A registered remote executor at rest: the framed halves of its
-/// connection, the control handle that can hang it up, and which
-/// manifests it already knows (preserved across checkouts, so a remote
-/// serves a whole sweep with one manifest registration).
-pub struct RemoteHandle {
+/// One registered worker: the framed request writer, the reply channel
+/// (fed by a pump thread that drops its sender on EOF), the control
+/// handle that can hang the connection up, which manifests it already
+/// knows (kept across checkouts, so a remote serves a whole sweep with one
+/// manifest registration), and — for a child the pool spawned — the
+/// process to kill and reap.
+pub struct WorkerHandle {
     writer: FrameWriter<Box<dyn Write + Send>>,
-    control: ConnControl,
+    control: Conn,
     rx: Receiver<Option<JsonValue>>,
     known: HashSet<String>,
+    child: Option<Child>,
 }
 
-impl RemoteHandle {
-    /// Wraps a freshly registered connection (see
-    /// [`crate::serve`]'s `register` handling).
-    pub fn new(
-        writer: FrameWriter<Box<dyn Write + Send>>,
-        control: ConnControl,
-        rx: Receiver<Option<JsonValue>>,
-    ) -> RemoteHandle {
-        RemoteHandle { writer, control, rx, known: HashSet::new() }
+/// The `register` handshake, shared by the daemon's listeners and every
+/// pool's private listener: checks the protocol version (and `want_token`
+/// when one is set), clears the handshake deadline, acks, lifts the
+/// handshake frame cap, and starts the reply pump. A failed check sends
+/// the refusal; the caller then drops the connection.
+pub fn register(
+    mut reader: FrameReader<Box<dyn Read + Send>>,
+    mut writer: FrameWriter<Box<dyn Write + Send>>,
+    control: Conn,
+    version: u64,
+    token: Option<&str>,
+    want_token: Option<&str>,
+) -> Result<WorkerHandle, String> {
+    if let Err(refusal) = check_handshake(version, token, want_token) {
+        let _ = writer.send(&refusal.to_json_value());
+        return Err(refusal.message);
     }
+    // A registered worker may idle for hours between jobs: the handshake
+    // deadline comes off, and the pool's two clocks own liveness.
+    control.set_timeout(None).map_err(|e| e.to_string())?;
+    writer.send(&hello_ok()).map_err(|e| e.to_string())?;
+    reader.set_cap(proto::MAX_FRAME);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || proto::pump_lines(reader, tx));
+    Ok(WorkerHandle { writer, control, rx, known: HashSet::new(), child: None })
+}
 
+impl WorkerHandle {
     /// Whether the connection behind this handle is still up: drains any
     /// queued heartbeats; a dropped sender (EOF on the socket) or queued
-    /// garbage means the remote is gone.
+    /// garbage means the worker is gone.
     fn is_live(&self) -> bool {
         loop {
             match self.rx.try_recv() {
@@ -275,6 +302,73 @@ impl RemoteHandle {
                 Err(TryRecvError::Empty) => return true,
                 Err(TryRecvError::Disconnected) => return false,
             }
+        }
+    }
+
+    /// Sends one request and waits for its non-heartbeat reply, policing
+    /// the deadline and the heartbeat grace. The silence clock starts at
+    /// the request (an idle worker writes nothing), and every heartbeat
+    /// rearms it.
+    fn request(
+        &mut self,
+        doc: &JsonValue,
+        deadline: Option<Instant>,
+        grace: Duration,
+    ) -> Result<JsonValue, Loss> {
+        self.writer.send(doc).map_err(|_| Loss::Exited)?;
+        let mut last_line = Instant::now();
+        loop {
+            match self.rx.recv_timeout(Duration::from_millis(50)) {
+                Ok(Some(doc)) if is_heartbeat(&doc) => last_line = Instant::now(),
+                Ok(Some(doc)) => return Ok(doc),
+                Ok(None) => return Err(Loss::Garbage),
+                Err(RecvTimeoutError::Disconnected) => return Err(Loss::Exited),
+                Err(RecvTimeoutError::Timeout) => {}
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(Loss::Deadline);
+            }
+            if last_line.elapsed() > grace {
+                return Err(Loss::Silent);
+            }
+        }
+    }
+
+    /// Registers the job's manifest on this worker, once per fingerprint.
+    fn ensure_manifest(&mut self, job: &WireJob<'_>, grace: Duration) -> Result<(), Loss> {
+        if self.known.contains(&job.fingerprint) {
+            return Ok(());
+        }
+        let ack = Some(Instant::now() + ACK_DEADLINE);
+        let reply = self.request(&manifest_request(job.spec), ack, grace)?;
+        if reply.get("ok").and_then(JsonValue::as_bool) != Some(true) {
+            return Err(Loss::Garbage);
+        }
+        self.known.insert(job.fingerprint.clone());
+        Ok(())
+    }
+
+    /// Ships one job and awaits its result under the per-attempt deadline.
+    fn run_job(
+        &mut self,
+        job: &WireJob<'_>,
+        cfg: &PoolConfig,
+    ) -> Result<(PointResult, Option<i32>), Loss> {
+        let deadline = cfg.job_timeout.map(|t| Instant::now() + t);
+        let doc = job_request(&job.fingerprint, job.index, job.options);
+        let reply = self.request(&doc, deadline, cfg.heartbeat_grace)?;
+        parse_job_reply(&reply, job.index).ok_or(Loss::Garbage)
+    }
+
+    /// Destroys the worker: the connection is hung up, and a child this
+    /// pool spawned is killed and reaped (only a waited child's CPU time
+    /// reaches the parent's `RUSAGE_CHILDREN`). A remote process survives
+    /// and may re-register — that is its own supervisor's business.
+    fn kill(mut self) {
+        self.control.shutdown();
+        if let Some(child) = &mut self.child {
+            let _ = child.kill();
+            let _ = child.wait();
         }
     }
 }
@@ -286,7 +380,7 @@ impl RemoteHandle {
 /// registers) and every concurrently running sweep.
 #[derive(Default)]
 pub struct RemoteRegistry {
-    idle: Mutex<VecDeque<RemoteHandle>>,
+    idle: Mutex<VecDeque<WorkerHandle>>,
     cond: Condvar,
     /// Handles currently checked out by dispatchers — counted so
     /// `registered` (what `status` reports) includes busy workers, not
@@ -301,13 +395,13 @@ impl RemoteRegistry {
     }
 
     /// Adds a freshly registered remote worker.
-    pub fn register(&self, handle: RemoteHandle) {
+    pub fn register(&self, handle: WorkerHandle) {
         self.idle.lock().unwrap().push_back(handle);
         self.cond.notify_all();
     }
 
     /// Returns a checked-out handle to the pool.
-    pub fn checkin(&self, handle: RemoteHandle) {
+    pub fn checkin(&self, handle: WorkerHandle) {
         self.uncheckout();
         self.register(handle);
     }
@@ -339,7 +433,7 @@ impl RemoteRegistry {
     /// Checks out an idle live handle, waiting up to `wait` for one to
     /// register or check back in. Dead handles found on the way are
     /// discarded.
-    fn checkout(&self, wait: Duration) -> Option<RemoteHandle> {
+    fn checkout(&self, wait: Duration) -> Option<WorkerHandle> {
         let deadline = Instant::now() + wait;
         let mut idle = self.idle.lock().unwrap();
         loop {
@@ -348,7 +442,7 @@ impl RemoteRegistry {
                     self.checked_out.fetch_add(1, Ordering::SeqCst);
                     return Some(handle);
                 }
-                handle.control.shutdown();
+                handle.kill();
             }
             let left = deadline.checked_duration_since(Instant::now())?;
             idle = self.cond.wait_timeout(idle, left).unwrap().0;
@@ -356,157 +450,117 @@ impl RemoteRegistry {
     }
 }
 
-/// What carries a live worker's bytes: a spawned child process (pipes) or
-/// a checked-out remote connection (its control handle).
-enum Link {
-    Child(Child),
-    Remote(ConnControl),
+/// The socket's name inside a [`Port`]'s directory.
+const PORT_SOCKET: &str = "worker.sock";
+
+/// A pool's private executor port: a Unix listener in a fresh mode-0700
+/// directory that only this user can reach. Children spawn one at a time
+/// under the listener's lock and a failed spawn drops whatever its reaped
+/// child queued, so the connection accepted after a spawn is that child's.
+/// Dropping the port removes the directory.
+struct Port {
+    dir: PathBuf,
+    listener: Mutex<UnixListener>,
 }
 
-/// One live worker: its link, framed request writer, reply channel (fed
-/// by a pump thread that drops the sender on EOF), which manifests it
-/// already knows, and its liveness clock.
-struct WorkerHandle {
-    link: Link,
-    writer: FrameWriter<Box<dyn Write + Send>>,
-    rx: Receiver<Option<JsonValue>>,
-    known: HashSet<String>,
-    last_line: Instant,
-}
+impl Port {
+    fn open() -> std::io::Result<Port> {
+        static OPENED: AtomicUsize = AtomicUsize::new(0);
+        // Pid and counter make the name unique in this process; the clock
+        // keeps a reused pid from colliding with a killed run's leftovers.
+        let nanos = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.subsec_nanos());
+        let dir = std::env::temp_dir().join(format!(
+            "xloops-pool-{}-{}-{nanos}",
+            std::process::id(),
+            OPENED.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::DirBuilder::new().mode(0o700).create(&dir)?;
+        // Nonblocking, so a spawn can watch its child while it waits.
+        let listener = UnixListener::bind(dir.join(PORT_SOCKET))
+            .and_then(|l| l.set_nonblocking(true).map(|()| l))
+            .inspect_err(|_| {
+                let _ = std::fs::remove_dir_all(&dir);
+            })?;
+        Ok(Port { dir, listener: Mutex::new(listener) })
+    }
 
-impl WorkerHandle {
-    fn spawn(cfg: &PoolConfig) -> std::io::Result<WorkerHandle> {
+    /// Spawns `xloops worker` against this port and waits for it to
+    /// register. A child that exits first, or stays silent past
+    /// [`ACK_DEADLINE`], is killed and reaped.
+    fn spawn(&self, cfg: &PoolConfig) -> std::io::Result<WorkerHandle> {
+        let listener = self.listener.lock().expect("no spawn panics holding the port");
         let mut child = Command::new(&cfg.exe)
             .arg("worker")
-            // A daemon's own dial-out knob must never leak into its
-            // children: a spawned child serves its pipes, full stop.
-            .env_remove("XLOOPS_CONNECT")
             .envs(cfg.env.iter().map(|(k, v)| (k.as_str(), v.as_str())))
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
+            .env("XLOOPS_CONNECT", self.dir.join(PORT_SOCKET))
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
             .spawn()?;
-        let stdin = child.stdin.take().expect("piped stdin");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || proto::pump_lines(FrameReader::new(stdout), tx));
-        Ok(WorkerHandle {
-            link: Link::Child(child),
-            writer: FrameWriter::new(Box::new(stdin)),
-            rx,
-            known: HashSet::new(),
-            last_line: Instant::now(),
-        })
-    }
-
-    /// Adopts a checked-out remote executor, keeping its manifest set.
-    fn from_remote(remote: RemoteHandle) -> WorkerHandle {
-        WorkerHandle {
-            link: Link::Remote(remote.control),
-            writer: remote.writer,
-            rx: remote.rx,
-            known: remote.known,
-            last_line: Instant::now(),
-        }
-    }
-
-    /// Releases a healthy remote back to handle form; `None` for
-    /// children (they are exited and reaped instead).
-    fn into_remote(self) -> Option<RemoteHandle> {
-        match self.link {
-            Link::Remote(control) => {
-                Some(RemoteHandle { writer: self.writer, control, rx: self.rx, known: self.known })
-            }
-            Link::Child(_) => None,
-        }
-    }
-
-    fn is_remote(&self) -> bool {
-        matches!(self.link, Link::Remote(_))
-    }
-
-    fn send(&mut self, doc: &JsonValue) -> std::io::Result<()> {
-        self.writer.send(doc)
-    }
-
-    /// Waits for the next non-heartbeat reply, policing the job deadline
-    /// and the heartbeat grace. Any line (heartbeat or reply) counts as
-    /// proof of life.
-    fn await_reply(
-        &mut self,
-        deadline: Option<Instant>,
-        grace: Duration,
-    ) -> Result<JsonValue, Loss> {
-        loop {
-            match self.rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(Some(doc)) => {
-                    self.last_line = Instant::now();
-                    if is_heartbeat(&doc) {
-                        continue;
-                    }
-                    return Ok(doc);
-                }
-                Ok(None) => return Err(Loss::Garbage),
-                Err(RecvTimeoutError::Disconnected) => return Err(Loss::Exited),
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(Loss::Deadline);
-            }
-            if self.last_line.elapsed() > grace {
-                return Err(Loss::Silent);
-            }
-        }
-    }
-
-    fn ping(&mut self, grace: Duration) -> Result<(), Loss> {
-        self.send(&Request::Ping.to_json_value()).map_err(|_| Loss::Exited)?;
-        let reply = self.await_reply(Some(Instant::now() + ACK_DEADLINE), grace)?;
-        match reply.get("pong").and_then(JsonValue::as_bool) {
-            Some(true) => Ok(()),
-            _ => Err(Loss::Garbage),
-        }
-    }
-
-    /// Registers the job's manifest on this worker, once per fingerprint.
-    fn ensure_manifest(&mut self, job: &WireJob<'_>, grace: Duration) -> Result<(), Loss> {
-        if self.known.contains(&job.fingerprint) {
-            return Ok(());
-        }
-        self.send(&manifest_request(job.spec)).map_err(|_| Loss::Exited)?;
-        let reply = self.await_reply(Some(Instant::now() + ACK_DEADLINE), grace)?;
-        if reply.get("ok").and_then(JsonValue::as_bool) != Some(true) {
-            return Err(Loss::Garbage);
-        }
-        self.known.insert(job.fingerprint.clone());
-        Ok(())
-    }
-
-    /// Ships one job and awaits its result under the per-attempt deadline.
-    fn run_job(
-        &mut self,
-        job: &WireJob<'_>,
-        cfg: &PoolConfig,
-    ) -> Result<(PointResult, Option<i32>), Loss> {
-        self.send(&job_request(&job.fingerprint, job.index, job.options))
-            .map_err(|_| Loss::Exited)?;
-        let deadline = cfg.job_timeout.map(|t| Instant::now() + t);
-        let reply = self.await_reply(deadline, cfg.heartbeat_grace)?;
-        parse_job_reply(&reply, job.index).ok_or(Loss::Garbage)
-    }
-
-    /// Destroys the worker: a child is killed and reaped; a remote's
-    /// connection is hung up (the remote process survives and may
-    /// re-register — that is its supervisor's business, not ours).
-    fn kill(&mut self) {
-        match &mut self.link {
-            Link::Child(child) => {
+        match accept_child(&listener, &mut child).and_then(admit) {
+            Ok(handle) => Ok(WorkerHandle { child: Some(child), ..handle }),
+            Err(e) => {
                 let _ = child.kill();
                 let _ = child.wait();
+                // Anything the reaped child queued is stale: drop it, so
+                // the next spawn accepts its own child's connection.
+                while listener.accept().is_ok() {}
+                Err(std::io::Error::other(format!("worker did not register: {e}")))
             }
-            Link::Remote(control) => control.shutdown(),
         }
     }
+}
+
+impl Drop for Port {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// The next connection on `listener`, while `child` lives and within
+/// [`ACK_DEADLINE`].
+fn accept_child(listener: &UnixListener, child: &mut Child) -> Result<UnixStream, String> {
+    let deadline = Instant::now() + ACK_DEADLINE;
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => return Ok(stream),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+            Err(e) => return Err(e.to_string()),
+        }
+        if let Some(status) = child.try_wait().map_err(|e| e.to_string())? {
+            return Err(format!("it exited ({status})"));
+        }
+        if Instant::now() >= deadline {
+            return Err("timed out".to_string());
+        }
+        std::thread::sleep(Duration::from_micros(50));
+    }
+}
+
+/// Admits one connection on a private port: the first frame must be a
+/// `register` of at most [`proto::HANDSHAKE_MAX_FRAME`] bytes. Anything
+/// else is refused and the connection dropped.
+fn admit(stream: UnixStream) -> Result<WorkerHandle, String> {
+    stream.set_nonblocking(false).map_err(|e| e.to_string())?;
+    let conn = Conn::Unix(stream);
+    conn.set_timeout(Some(ACK_DEADLINE)).map_err(|e| e.to_string())?;
+    let (read, write, control) = conn.split().map_err(|e| e.to_string())?;
+    let mut reader = FrameReader::new(read);
+    let mut writer = FrameWriter::new(write);
+    reader.set_cap(proto::HANDSHAKE_MAX_FRAME);
+    let first = match reader.next_line() {
+        Ok(Some(line)) => Request::parse(line),
+        Ok(None) => return Err("it hung up before registering".to_string()),
+        Err(e) => Err(Refusal::new(e.to_string())),
+    };
+    let refusal = match first {
+        Ok(Request::Register { version, token }) => {
+            return register(reader, writer, control, version, token.as_deref(), None)
+        }
+        Ok(req) => Refusal::new(format!("expected `register`, got `{}`", req.name())),
+        Err(refusal) => refusal,
+    };
+    let _ = writer.send(&refusal.to_json_value());
+    Err(refusal.message)
 }
 
 /// A worker's job reply: `ok`, the echoed index, a parseable result, and
@@ -545,7 +599,7 @@ pub fn backoff_delay(base: Duration, fingerprint: &str, index: usize, attempt: u
     Duration::from_millis(ms.max(1.0) as u64)
 }
 
-/// The supervised pool: spawn-verified once, then [`WorkerPool::run`]
+/// The supervised pool: verified once at spawn, then [`WorkerPool::run`]
 /// executes job lists with per-thread workers, retries, and quarantine.
 /// With a [`RemoteRegistry`] attached, registered remote executors are
 /// preferred over spawning children (and are the only route when the
@@ -554,20 +608,23 @@ pub struct WorkerPool {
     cfg: PoolConfig,
     probe: Mutex<Option<WorkerHandle>>,
     remotes: Option<Arc<RemoteRegistry>>,
+    /// The private listener children register on; `None` for a
+    /// remotes-only pool.
+    port: Option<Port>,
 }
 
 impl WorkerPool {
-    /// Spawns one probe worker and handshakes with a ping. An executable
-    /// that cannot be spawned — or that does not speak the worker
-    /// protocol (wrong executable, exec restrictions) — is an error here,
-    /// *before* any job is at risk; the scheduler reacts by degrading to
-    /// in-process execution.
+    /// Spawns one probe child and waits for its `register`. An executable
+    /// that cannot be spawned — or that never registers (wrong
+    /// executable, exec restrictions) — is an error here, *before* any job
+    /// is at risk; the scheduler reacts by degrading to in-process
+    /// execution.
     pub fn spawn(cfg: PoolConfig) -> std::io::Result<WorkerPool> {
         WorkerPool::spawn_with(cfg, None)
     }
 
     /// [`WorkerPool::spawn`] with a remote registry: when registered
-    /// remote workers exist, the pool is trusted without a local probe
+    /// remote workers exist, the pool is trusted without a probe child
     /// (their register handshake already vouched for them); otherwise a
     /// child-spawning config probes as usual, and a remotes-only config
     /// with nobody registered is an error (degrade to in-process).
@@ -575,21 +632,13 @@ impl WorkerPool {
         cfg: PoolConfig,
         remotes: Option<Arc<RemoteRegistry>>,
     ) -> std::io::Result<WorkerPool> {
-        if remotes.as_ref().is_some_and(|r| r.available() > 0) {
-            return Ok(WorkerPool { cfg, probe: Mutex::new(None), remotes });
-        }
-        if !cfg.spawn_children {
-            return Err(std::io::Error::other("no remote workers connected"));
-        }
-        let mut probe = WorkerHandle::spawn(&cfg)?;
-        if let Err(loss) = probe.ping(cfg.heartbeat_grace) {
-            probe.kill();
-            return Err(std::io::Error::other(format!(
-                "worker handshake failed: {}",
-                loss.cause()
-            )));
-        }
-        Ok(WorkerPool { cfg, probe: Mutex::new(Some(probe)), remotes })
+        let port = if cfg.spawn_children { Some(Port::open()?) } else { None };
+        let probe = match (&port, remotes.as_ref().map_or(0, |r| r.available())) {
+            (_, 1..) => None,
+            (Some(port), 0) => Some(port.spawn(&cfg)?),
+            (None, 0) => return Err(std::io::Error::other("no remote workers connected")),
+        };
+        Ok(WorkerPool { cfg, probe: Mutex::new(probe), remotes, port })
     }
 
     /// The configured worker-process count.
@@ -601,7 +650,8 @@ impl WorkerPool {
     /// same item-ordered-slots discipline as [`crate::sched::run_jobs`],
     /// so artifact byte-identity is preserved by construction). Worker
     /// deaths cost retries, never result order; `progress` (when given)
-    /// is ticked live per job with its fanout weight.
+    /// is ticked live per job with its fanout weight. Every child the run
+    /// spawned has been reaped when it returns.
     pub fn run(
         &self,
         jobs: &[WireJob<'_>],
@@ -613,10 +663,11 @@ impl WorkerPool {
         let width = self.cfg.workers.max(self.remotes.as_ref().map_or(0, |r| r.available()));
         let threads = width.clamp(1, jobs.len().max(1));
         let remotes = self.remotes.as_deref();
+        let port = self.port.as_ref();
         std::thread::scope(|scope| {
             for t in 0..threads {
                 let (queue, slots, cfg) = (&queue, &slots, &self.cfg);
-                // The probe worker from the spawn handshake serves the
+                // The probe child from the spawn handshake serves the
                 // first dispatcher; the rest acquire lazily on first use.
                 let mut handle = if t == 0 { self.probe.lock().unwrap().take() } else { None };
                 scope.spawn(move || {
@@ -627,7 +678,7 @@ impl WorkerPool {
                         if let Some(p) = progress {
                             p.start(job.fanout);
                         }
-                        let outcome = run_with_retries(&mut handle, job, cfg, remotes);
+                        let outcome = run_with_retries(&mut handle, job, cfg, remotes, port);
                         if let Some(p) = progress {
                             p.finish(job.fanout, outcome.result.error.is_none());
                         }
@@ -645,48 +696,40 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        if let Some(mut probe) = self.probe.lock().unwrap().take() {
+        if let Some(probe) = self.probe.lock().unwrap().take() {
             probe.kill();
         }
     }
 }
 
 /// Releases a dispatcher's worker at the end of a run: a healthy remote
-/// checks back into the registry for the next sweep; a child is asked to
-/// exit and reaped.
-fn retire(mut handle: WorkerHandle, remotes: Option<&RemoteRegistry>) {
-    if handle.is_remote() {
-        match remotes {
-            Some(registry) => {
-                if let Some(remote) = handle.into_remote() {
-                    registry.checkin(remote);
-                }
-            }
-            None => handle.kill(),
-        }
-        return;
+/// checks back into the registry for the next sweep; a child is killed
+/// and reaped.
+fn retire(handle: WorkerHandle, remotes: Option<&RemoteRegistry>) {
+    match remotes {
+        Some(registry) if handle.child.is_none() => registry.checkin(handle),
+        _ => handle.kill(),
     }
-    let _ = handle.send(&Request::Exit.to_json_value());
-    handle.kill();
 }
 
 /// Acquires a worker for a dispatcher: a registered remote first (waiting
-/// out a re-register window when children are forbidden), then a spawned
-/// child when the config allows one.
-fn acquire(cfg: &PoolConfig, remotes: Option<&RemoteRegistry>) -> Result<WorkerHandle, String> {
+/// out a re-register window when children are forbidden), then a child
+/// spawned on the pool's port when the config allows one.
+fn acquire(
+    remotes: Option<&RemoteRegistry>,
+    port: Option<&Port>,
+    cfg: &PoolConfig,
+) -> Result<WorkerHandle, String> {
     if let Some(registry) = remotes {
-        let wait = if cfg.spawn_children { Duration::ZERO } else { REMOTE_CHECKOUT_WAIT };
-        if let Some(remote) = registry.checkout(wait) {
-            return Ok(WorkerHandle::from_remote(remote));
-        }
-        if !cfg.spawn_children {
-            return Err("no remote workers available".to_string());
+        let wait = if port.is_some() { Duration::ZERO } else { REMOTE_CHECKOUT_WAIT };
+        if let Some(handle) = registry.checkout(wait) {
+            return Ok(handle);
         }
     }
-    if !cfg.spawn_children {
-        return Err("no remote workers connected".to_string());
+    match port {
+        Some(port) => port.spawn(cfg).map_err(|e| e.to_string()),
+        None => Err("no remote workers available".to_string()),
     }
-    WorkerHandle::spawn(cfg).map_err(|e| e.to_string())
 }
 
 /// One job through the retry loop: dispatch on the current worker
@@ -704,6 +747,7 @@ fn run_with_retries(
     job: &WireJob<'_>,
     cfg: &PoolConfig,
     remotes: Option<&RemoteRegistry>,
+    port: Option<&Port>,
 ) -> WorkerOutcome {
     let attempts_max = cfg.max_retries.saturating_add(1);
     let mut backoff_ms = 0u64;
@@ -718,10 +762,10 @@ fn run_with_retries(
         }
         let h = match handle {
             Some(h) => h,
-            None => match acquire(cfg, remotes) {
+            None => match acquire(remotes, port, cfg) {
                 Ok(h) => handle.insert(h),
                 Err(e) => {
-                    if !cfg.spawn_children {
+                    if port.is_none() {
                         // No remote came back within the checkout wait
                         // and children are forbidden: retries cannot
                         // succeed until a worker re-registers, so run
@@ -735,26 +779,15 @@ fn run_with_retries(
             },
         };
         match h.ensure_manifest(job, cfg.heartbeat_grace).and_then(|()| h.run_job(job, cfg)) {
-            Ok((result, exit_code)) => {
-                let sim = match (&result.error, exit_code) {
-                    (Some(message), Some(code)) => {
-                        Some(SimError::Remote { message: message.clone(), exit_code: code })
-                    }
-                    _ => None,
-                };
-                return WorkerOutcome { result, sim, attempts: attempt };
-            }
+            Ok((result, exit_code)) => return replied(result, exit_code, attempt),
             Err(loss) => {
-                if let Some(mut dead) = handle.take() {
-                    let was_remote = dead.is_remote();
-                    dead.kill();
+                if let Some(dead) = handle.take() {
                     // A reaped remote leaves the registry's books too,
                     // or `registered` would count ghosts forever.
-                    if was_remote {
-                        if let Some(registry) = remotes {
-                            registry.discard();
-                        }
+                    if let (None, Some(registry)) = (&dead.child, remotes) {
+                        registry.discard();
                     }
+                    dead.kill();
                 }
                 last = loss;
             }
@@ -791,6 +824,12 @@ fn run_job_in_process(job: &WireJob<'_>, attempts: u32) -> WorkerOutcome {
     let doc = run_wire_job(job.spec, job.index, job.options.clone());
     let (result, exit_code) =
         parse_job_reply(&doc, job.index).expect("in-process replies are well-formed");
+    replied(result, exit_code, attempts)
+}
+
+/// The outcome of a job reply: a typed failure keeps its class as
+/// [`SimError::Remote`].
+fn replied(result: PointResult, exit_code: Option<i32>, attempts: u32) -> WorkerOutcome {
     let sim = match (&result.error, exit_code) {
         (Some(message), Some(code)) => {
             Some(SimError::Remote { message: message.clone(), exit_code: code })
@@ -801,41 +840,28 @@ fn run_job_in_process(job: &WireJob<'_>, attempts: u32) -> WorkerOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// Worker child
+// Worker process
 // ---------------------------------------------------------------------------
 
 fn worker_refuse(message: String) -> JsonValue {
     Refusal::new(message).to_json_value()
 }
 
-/// Entry point of the hidden `xloops worker` subcommand: serves the
-/// worker protocol on its stdin/stdout pipe pair, heartbeating
-/// unconditionally (the pre-network wire contract). EOF or an `exit`
-/// command ends the loop. Returns the process exit code.
-pub fn worker_main() -> i32 {
-    let mut reader = FrameReader::new(std::io::stdin());
-    let writer = Mutex::new(FrameWriter::new(std::io::stdout()));
-    worker_serve(&mut reader, &writer, true)
-}
-
-/// Entry point of `xloops worker --connect ADDR`: dials the daemon,
-/// registers as a remote executor (version/token handshake), then serves
-/// the same worker protocol over the socket — heartbeating only while
-/// busy, so an idle registered worker writes nothing. Returns the exit
-/// code on a served-out connection, or `(code, message)` when the dial or
-/// the handshake fails (`2` for a typed refusal — wrong version or
-/// token — `1` for transport errors).
+/// Entry point of `xloops worker`: dials `addr` (`--connect` or
+/// `XLOOPS_CONNECT` — a daemon's TCP port, or the private socket of the
+/// pool that spawned this process), registers (version/token handshake),
+/// then serves the worker protocol over the connection, heartbeating only
+/// while busy. Returns the exit code on a served-out connection, or
+/// `(code, message)` when the dial or the handshake fails (`2` for a typed
+/// refusal — wrong version or token — `1` for transport errors).
 pub fn worker_connect(addr: &str) -> Result<i32, (i32, String)> {
     let ep = Endpoint::parse_dial(addr);
     let conn =
         Conn::connect(&ep).map_err(|e| (1, format!("cannot connect to {}: {e}", ep.describe())))?;
     conn.set_timeout(Some(ACK_DEADLINE)).map_err(|e| (1, e.to_string()))?;
     let (read, write, control) = conn.split().map_err(|e| (1, e.to_string()))?;
-    let mut reader = FrameReader::new(read);
-    let writer = Mutex::new(FrameWriter::new(write));
+    let (mut reader, mut writer) = (FrameReader::new(read), FrameWriter::new(write));
     writer
-        .lock()
-        .unwrap()
         .send(&register_request(token_from_env()))
         .map_err(|e| (1, format!("cannot register with {}: {e}", ep.describe())))?;
     let ack = reader
@@ -851,20 +877,17 @@ pub fn worker_connect(addr: &str) -> Result<i32, (i32, String)> {
         return Err((2, message));
     }
     // Registered: jobs may arrive hours apart, so the ack deadline comes
-    // off and the daemon's two clocks own liveness from here.
+    // off and the parent's two clocks own liveness from here.
     control.set_timeout(None).map_err(|e| (1, e.to_string()))?;
-    Ok(worker_serve(&mut reader, &writer, false))
+    Ok(worker_serve(&mut reader, &Mutex::new(writer)))
 }
 
-/// The worker protocol loop shared by both entry points: framed requests
-/// in, framed replies out, a scoped heartbeat thread alongside. With
-/// `hb_always` the heartbeat runs unconditionally (piped children — the
-/// byte-compatible pre-network behavior); without it, only while a
-/// request is being served (remote workers — an idle one stays silent).
+/// The worker protocol loop: framed requests in, framed replies out, and
+/// a scoped heartbeat thread alongside that writes only while a request
+/// is being served, so an idle worker stays silent.
 fn worker_serve<R: Read, W: Write + Send>(
     reader: &mut FrameReader<R>,
     writer: &Mutex<FrameWriter<W>>,
-    hb_always: bool,
 ) -> i32 {
     let stop = AtomicBool::new(false);
     let busy = AtomicBool::new(false);
@@ -874,7 +897,7 @@ fn worker_serve<R: Read, W: Write + Send>(
             if stop.load(Ordering::SeqCst) {
                 return;
             }
-            if !(hb_always || busy.load(Ordering::SeqCst)) {
+            if !busy.load(Ordering::SeqCst) {
                 continue;
             }
             if writer.lock().unwrap().send(&hb_doc()).is_err() {
@@ -918,10 +941,6 @@ fn handle_worker_request(
     req: Request,
 ) -> Option<JsonValue> {
     match req {
-        Request::Ping => Some(JsonValue::object(vec![
-            ("ok", JsonValue::Bool(true)),
-            ("pong", JsonValue::Bool(true)),
-        ])),
         Request::Exit => None,
         Request::Manifest { spec } => {
             let fingerprint = spec.fingerprint();
@@ -1025,6 +1044,13 @@ mod tests {
         }
     }
 
+    /// A handle over `conn` through the one `register` handshake.
+    fn registered(conn: Conn) -> WorkerHandle {
+        let (read, write, control) = conn.split().expect("split");
+        let (reader, writer) = (FrameReader::new(read), FrameWriter::new(write));
+        register(reader, writer, control, proto::PROTO_VERSION, None, None).expect("register")
+    }
+
     #[test]
     fn backoff_is_deterministic_grows_and_caps() {
         let base = Duration::from_millis(25);
@@ -1066,6 +1092,8 @@ mod tests {
             ),
             "{\"cmd\":\"shutdown\"}".to_string(),
             "{\"cmd\":\"status\"}".to_string(),
+            // `register` is the handshake; a worker answers no probe.
+            "{\"cmd\":\"ping\"}".to_string(),
         ] {
             let reply = handle_worker_line(&mut specs, &bad).expect("refusal, not exit");
             assert_eq!(
@@ -1081,9 +1109,7 @@ mod tests {
                 .unwrap_or(0.0);
             assert_eq!(code, 2.0, "{bad}");
         }
-        // Ping and exit still work after the abuse.
-        let pong = handle_worker_line(&mut specs, "{\"cmd\":\"ping\"}").unwrap();
-        assert_eq!(pong.get("pong").and_then(JsonValue::as_bool), Some(true));
+        // Exit still works after the abuse.
         assert!(handle_worker_line(&mut specs, "{\"cmd\":\"exit\"}").is_none());
     }
 
@@ -1132,10 +1158,7 @@ mod tests {
         // A live socketpair-backed handle checks out and back in.
         let (a, b) = UnixStream::pair().expect("socketpair");
         let conn = Conn::Unix(a);
-        let (read, write, control) = conn.split().expect("split");
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || proto::pump_lines(FrameReader::new(read), tx));
-        registry.register(RemoteHandle::new(FrameWriter::new(write), control, rx));
+        registry.register(registered(conn));
         assert_eq!(registry.available(), 1);
         assert_eq!(registry.registered(), 1);
         let handle = registry.checkout(Duration::from_millis(10)).expect("live handle");
@@ -1160,10 +1183,7 @@ mod tests {
         use std::os::unix::net::UnixStream;
         let registry = RemoteRegistry::new();
         let (a, _b) = UnixStream::pair().expect("socketpair");
-        let (read, write, control) = Conn::Unix(a).split().expect("split");
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || proto::pump_lines(FrameReader::new(read), tx));
-        registry.register(RemoteHandle::new(FrameWriter::new(write), control, rx));
+        registry.register(registered(Conn::Unix(a)));
         let handle = registry.checkout(Duration::from_millis(10)).expect("live handle");
         assert_eq!(registry.registered(), 1);
         // The dispatcher reaps the handle mid-job instead of checking
@@ -1174,5 +1194,53 @@ mod tests {
         // Defensive floor: a stray discard never underflows.
         registry.discard();
         assert_eq!(registry.registered(), 0);
+    }
+
+    /// Dials `port` as a peer that opens with `first`, and admits the
+    /// connection: the verdict, and the one reply line the peer read.
+    fn admit_first_frame(port: &Port, first: &[u8]) -> (Result<WorkerHandle, String>, JsonValue) {
+        let mut peer = UnixStream::connect(port.dir.join(PORT_SOCKET)).expect("dial the port");
+        peer.write_all(first).expect("first frame");
+        let (stream, _) = port.listener.lock().unwrap().accept().expect("pending connection");
+        let verdict = admit(stream);
+        let reply = FrameReader::new(peer).next_reply().expect("one reply line");
+        (verdict, reply)
+    }
+
+    #[test]
+    fn the_private_port_admits_only_a_register_in_a_private_directory() {
+        use std::os::unix::fs::PermissionsExt;
+        let port = Port::open().expect("open a port");
+        let mode = std::fs::metadata(&port.dir).expect("port directory").permissions().mode();
+        assert_eq!(mode & 0o777, 0o700, "only this user may reach the socket");
+
+        let refused = |reply: &JsonValue| {
+            reply.get("ok").and_then(JsonValue::as_bool) == Some(false)
+                && reply.get("error").and_then(|e| e.get("exit_code")).and_then(JsonValue::as_f64)
+                    == Some(2.0)
+        };
+        // A first frame other than `register` is refused; no handle exists
+        // for a dispatcher to check out.
+        for first in ["{\"cmd\":\"ping\"}\n", "{\"cmd\":\"hello\",\"v\":1}\n", "garbage\n"] {
+            let (verdict, reply) = admit_first_frame(&port, first.as_bytes());
+            assert!(verdict.is_err(), "{first} must not be admitted");
+            assert!(refused(&reply), "{first}: {}", reply.render());
+        }
+        // An oversized first frame hits the handshake cap before its
+        // newline arrives.
+        let (verdict, reply) = admit_first_frame(&port, &[b'x'; proto::HANDSHAKE_MAX_FRAME + 1]);
+        let message = verdict.err().expect("oversized frame refused");
+        assert!(message.contains("4096 byte cap"), "{message}");
+        assert!(refused(&reply), "{}", reply.render());
+        // A `register` is admitted and acked.
+        let mut line = register_request(None).render();
+        line.push('\n');
+        let (verdict, reply) = admit_first_frame(&port, line.as_bytes());
+        assert!(verdict.is_ok(), "{:?}", verdict.err());
+        assert_eq!(reply.get("ok").and_then(JsonValue::as_bool), Some(true));
+
+        let dir = port.dir.clone();
+        drop(port);
+        assert!(!dir.exists(), "dropping the port removes its directory");
     }
 }

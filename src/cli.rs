@@ -187,10 +187,9 @@ pub enum Command {
         job: Option<String>,
         sock: Option<String>,
     },
-    /// Hidden: the worker-pool child process (`xloops worker`). Speaks
-    /// the NDJSON job protocol on stdin/stdout until EOF or `exit` — or,
-    /// with `--connect HOST:PORT` (or `XLOOPS_CONNECT`), dials a TCP
-    /// daemon and serves as a registered remote executor.
+    /// `worker --connect HOST:PORT` (or `XLOOPS_CONNECT`): dial a daemon
+    /// and serve as a registered executor. A worker pool spawns the bare
+    /// form with `XLOOPS_CONNECT` naming its private socket.
     Worker {
         connect: Option<String>,
     },
@@ -587,9 +586,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Status { job, sock })
         }
-        // Mostly hidden: the pipe-serving form is spawned by the worker
-        // pool, never typed by people. The `--connect` form is the
-        // user-facing remote executor.
+        // Mostly hidden: the bare form is spawned by the worker pool,
+        // never typed by people. The `--connect` form is the user-facing
+        // remote executor.
         "worker" => {
             let mut connect = None;
             let mut it = args[1..].iter();
@@ -1017,30 +1016,22 @@ pub fn execute(cmd: Command) -> Result<CommandOutput, CliError> {
             Ok((text, None))
         }
         Command::Worker { connect } => {
-            let dial =
-                connect.or_else(|| std::env::var("XLOOPS_CONNECT").ok().filter(|s| !s.is_empty()));
-            match dial {
-                // Remote executor: dial a daemon, register, serve jobs until
-                // the daemon hangs up or sends `exit`.
-                Some(addr) => match crate::bench::worker::worker_connect(&addr) {
-                    Ok(0) => Ok((String::new(), None)),
-                    Ok(code) => Err(CliError {
-                        code,
-                        message: "worker lost its daemon connection".into(),
-                        json: None,
-                    }),
-                    Err((code, message)) => Err(CliError { code, message, json: None }),
-                },
-                // The child half of the supervised worker pool: this blocks
-                // on stdin until the parent closes the pipe or sends `exit`.
-                None => match crate::bench::worker::worker_main() {
-                    0 => Ok((String::new(), None)),
-                    code => Err(CliError {
-                        code,
-                        message: "worker lost its parent pipe".into(),
-                        json: None,
-                    }),
-                },
+            // Dial a daemon or the private socket of the pool that
+            // spawned this process, register, and serve jobs until the
+            // peer hangs up or sends `exit`.
+            let addr = connect
+                .or_else(|| std::env::var("XLOOPS_CONNECT").ok().filter(|s| !s.is_empty()))
+                .ok_or_else(|| {
+                    manifest_error("worker needs --connect HOST:PORT or XLOOPS_CONNECT")
+                })?;
+            match crate::bench::worker::worker_connect(&addr) {
+                Ok(0) => Ok((String::new(), None)),
+                Ok(code) => Err(CliError {
+                    code,
+                    message: "worker lost its daemon connection".into(),
+                    json: None,
+                }),
+                Err((code, message)) => Err(CliError { code, message, json: None }),
             }
         }
         Command::Shutdown { sock } => {
@@ -1638,6 +1629,13 @@ mod tests {
     #[test]
     fn worker_subcommand_is_hidden_but_parses() {
         assert!(matches!(parse(&sv(&["worker"])).unwrap(), Command::Worker { connect: None }));
+        // A bare worker has only `XLOOPS_CONNECT` to dial; without it there
+        // is no transport to serve on, which is a usage error.
+        if std::env::var_os("XLOOPS_CONNECT").is_none() {
+            let e = execute(Command::Worker { connect: None }).expect_err("nothing to dial");
+            assert_eq!(e.code, 2, "{}", e.message);
+            assert!(e.message.contains("XLOOPS_CONNECT"), "{}", e.message);
+        }
         match parse(&sv(&["worker", "--connect", "127.0.0.1:9"])).unwrap() {
             Command::Worker { connect } => assert_eq!(connect.as_deref(), Some("127.0.0.1:9")),
             other => panic!("expected worker, got {other:?}"),

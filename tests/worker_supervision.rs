@@ -226,3 +226,50 @@ fn shared_points_ship_once_and_render_like_in_process() {
         assert_eq!(rendered(p), rendered(l), "pooled results must match in-process bytes");
     }
 }
+
+/// A pooled sweep leaves nothing behind: every child it spawned has been
+/// reaped (so its CPU time reached this process's `RUSAGE_CHILDREN`), and
+/// the private socket directory the children registered on is gone. The
+/// pool spawns a wrapper that logs its pid and `XLOOPS_CONNECT` before it
+/// `exec`s the real worker, so this test finds exactly its own children
+/// even while other tests run pools alongside it.
+#[test]
+fn a_pooled_sweep_reaps_its_children_and_removes_its_socket_directory() {
+    let tmp = std::env::temp_dir().join(format!("xloops-pool-cleanup-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    std::fs::create_dir_all(&tmp).expect("scratch dir");
+    let log = tmp.join("spawned.log");
+    let wrapper = tmp.join("xloops-wrapper");
+    std::fs::write(
+        &wrapper,
+        format!(
+            "#!/bin/sh\necho \"$$ $XLOOPS_CONNECT\" >> '{}'\nexec '{}' \"$@\"\n",
+            log.display(),
+            env!("CARGO_BIN_EXE_xloops")
+        ),
+    )
+    .expect("write wrapper");
+    {
+        use std::os::unix::fs::PermissionsExt;
+        std::fs::set_permissions(&wrapper, std::fs::Permissions::from_mode(0o755)).unwrap();
+    }
+    let spec = small_spec();
+    let mut cfg = pool(Vec::new());
+    cfg.exe = wrapper;
+    let pooled = sweep(&spec, Some(cfg));
+    assert_eq!(rendered(&pooled), rendered(&sweep(&spec, None)), "pooled bytes match");
+
+    let spawned = std::fs::read_to_string(&log).expect("the pool spawned workers");
+    let children: Vec<(&str, &str)> = spawned.lines().filter_map(|l| l.split_once(' ')).collect();
+    assert!(!children.is_empty(), "the sweep must have run on children");
+    for (pid, sock) in children {
+        // A reaped child has no /proc entry; a live or zombie one does.
+        assert!(
+            !std::path::Path::new(&format!("/proc/{pid}")).exists(),
+            "worker {pid} is still alive or unreaped"
+        );
+        let dir = std::path::Path::new(sock).parent().expect("socket in a directory");
+        assert!(!dir.exists(), "socket directory {} was left behind", dir.display());
+    }
+    let _ = std::fs::remove_dir_all(&tmp);
+}
