@@ -103,10 +103,8 @@ fn bench_lpsu_specialized_ooo4(c: &mut Criterion) {
     g.finish();
 }
 
-/// The two shard-file codecs on a real document: the full Figure 9 shard
-/// (30 finished points) through the pretty-JSON and binary encoders and
-/// decoders. Tracks the store's serialization overhead and the size gap
-/// the `.dxs` format is meant to keep (binary <= 1/3 of pretty JSON).
+/// The shard-file codec on a real document: the full Figure 9 shard
+/// (30 finished points) through the pretty-JSON encoder and decoder.
 fn bench_shard_codecs(c: &mut Criterion) {
     use xloops_bench::experiments::fig9_spec;
     use xloops_bench::manifest::{run_shard, ShardDoc};
@@ -114,21 +112,12 @@ fn bench_shard_codecs(c: &mut Criterion) {
 
     let doc = run_shard(&fig9_spec(), 0, 1, RunOptions::default());
     let json = doc.to_json();
-    let binary = doc.to_binary();
 
     let mut g = c.benchmark_group("shard_codec");
     g.throughput(Throughput::Bytes(json.len() as u64));
     g.bench_function("encode_json", |b| b.iter(|| doc.to_json()));
     g.bench_function("decode_json", |b| {
         b.iter(|| ShardDoc::from_json(std::hint::black_box(&json)).expect("parses"))
-    });
-    g.finish();
-
-    let mut g = c.benchmark_group("shard_codec_binary");
-    g.throughput(Throughput::Bytes(binary.len() as u64));
-    g.bench_function("encode_binary", |b| b.iter(|| doc.to_binary()));
-    g.bench_function("decode_binary", |b| {
-        b.iter(|| ShardDoc::from_binary(std::hint::black_box(&binary)).expect("decodes"))
     });
     g.finish();
 }

@@ -1146,29 +1146,6 @@ impl ShardDoc {
         s
     }
 
-    /// The shard as one binary document — the `.dxs` file format. Same
-    /// data model as [`ShardDoc::to_json`], roughly a third the bytes.
-    pub fn to_binary(&self) -> Vec<u8> {
-        binary::encode(&self.to_json_value())
-    }
-
-    /// Decodes a [`ShardDoc::to_binary`] document.
-    pub fn from_binary(bytes: &[u8]) -> Result<ShardDoc, ManifestError> {
-        Self::from_json_value(&binary::decode(bytes)?)
-    }
-
-    /// Decodes a shard file of either format, sniffing the binary magic
-    /// (`0xD8` cannot begin UTF-8 text, so the formats never alias).
-    pub fn from_bytes(bytes: &[u8]) -> Result<ShardDoc, ManifestError> {
-        if binary::is_binary(bytes) {
-            Self::from_binary(bytes)
-        } else {
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| schema("shard file is neither a binary document nor UTF-8 JSON"))?;
-            Self::from_json(text)
-        }
-    }
-
     /// Parses and validates one shard document from JSON text.
     pub fn from_json(text: &str) -> Result<ShardDoc, ManifestError> {
         Self::from_json_value(&JsonValue::parse(text)?)

@@ -154,11 +154,10 @@ impl ResultStore {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<ResultStore> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let quiet = std::env::var("XLOOPS_STORE_QUIET").is_ok_and(|v| v == "1");
         Ok(ResultStore {
             segs: RwLock::new(scan(&dir)?),
             dir,
-            quiet: AtomicBool::new(quiet),
+            quiet: AtomicBool::new(false),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
@@ -167,12 +166,11 @@ impl ResultStore {
         })
     }
 
-    /// Silences (or re-enables) the store's stderr warnings. Initialized
-    /// from `XLOOPS_STORE_QUIET=1`; the serve daemon also sets it, because
-    /// a daemon's corruption diagnostics belong in its own log stream, not
-    /// interleaved with whatever client happens to be connected. Damage is
-    /// still *counted* (`StoreStats::corrupt`, `profile.store.corrupt`)
-    /// either way — quiet mutes the messenger, never the measurement.
+    /// Silences (or re-enables) the store's stderr warnings; a store
+    /// starts loud. Tests set it to keep deliberate damage out of their
+    /// output. Damage is still *counted* (`StoreStats::corrupt`,
+    /// `profile.store.corrupt`) either way — quiet mutes the messenger,
+    /// never the measurement.
     pub fn set_quiet(&self, quiet: bool) {
         self.quiet.store(quiet, Ordering::Relaxed);
     }

@@ -1,12 +1,8 @@
 //! Property tests for the manifest layer's JSON round trips: for
 //! arbitrary experiment specs and shard documents,
 //! `encode -> parse -> encode` must be the identity on the encoded bytes.
-//! The binary shard encoding must agree: `to_binary -> from_binary ->
-//! to_binary` is the identity, [`ShardDoc::from_bytes`] reads either
-//! format to the same document, and the binary form stays well under the
-//! pretty-JSON size. Together with the `xloops-stats` round-trip suite
-//! this covers every document shape the sharded sweep pipeline writes or
-//! reads.
+//! Together with the `xloops-stats` round-trip suite this covers every
+//! document shape the sharded sweep pipeline writes or reads.
 
 use proptest::prelude::*;
 use xloops_bench::manifest::{
@@ -318,33 +314,5 @@ proptest! {
         let text: String = bytes.into_iter().map(|b| b as char).collect();
         let _ = ExperimentSpec::from_json(&text); // Ok or Err, never an unwind.
         let _ = ShardDoc::from_json(&text);
-    }
-
-    #[test]
-    fn shard_doc_binary_round_trips_and_matches_json(doc in shard_strategy()) {
-        let bytes = doc.to_binary();
-        let back = ShardDoc::from_binary(&bytes)
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(&back, &doc);
-        prop_assert_eq!(back.to_binary(), bytes);
-    }
-
-    #[test]
-    fn from_bytes_reads_both_formats_to_the_same_doc(doc in shard_strategy()) {
-        let from_json = ShardDoc::from_bytes(doc.to_json().as_bytes())
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        let from_binary = ShardDoc::from_bytes(&doc.to_binary())
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(&from_json, &doc);
-        prop_assert_eq!(&from_binary, &doc);
-    }
-
-    #[test]
-    fn from_bytes_never_panics_on_byte_soup(bytes in prop::collection::vec(any::<u8>(), 0..96)) {
-        let _ = ShardDoc::from_bytes(&bytes); // Ok or Err, never an unwind.
-        let mut magical = xloops_stats::binary::MAGIC.to_vec();
-        magical.push(xloops_stats::binary::VERSION);
-        magical.extend_from_slice(&bytes);
-        let _ = ShardDoc::from_bytes(&magical);
     }
 }

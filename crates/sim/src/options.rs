@@ -25,9 +25,9 @@
 //! `profile_lpsu` example only and stay local to it. A second family of
 //! knobs is *deliberately* outside [`RunOptions`] because it names
 //! infrastructure rather than run semantics and must never change
-//! results or store keys: `XLOOPS_STORE` / `XLOOPS_STORE_QUIET` are
-//! read by the bench crate's `ResultStore`, `XLOOPS_SOCK` and
-//! `XLOOPS_CLIENT_TIMEOUT` by the sweep-daemon clients, the networking
+//! results or store keys: `XLOOPS_STORE` is read by the bench crate's
+//! `ResultStore` and the CLI, `XLOOPS_SOCK` and `XLOOPS_CLIENT_TIMEOUT`
+//! by the sweep-daemon clients, the networking
 //! knobs — `XLOOPS_LISTEN` (daemon TCP listener), `XLOOPS_CONNECT`
 //! (remote-worker dial address), `XLOOPS_TOKEN` (shared secret) — by the
 //! bench crate's transport layer, and the worker-pool supervision knobs

